@@ -170,8 +170,7 @@ def _worker(sim: Simulator, res: Resource, store: Store, ident: int
         _ = yield store.get()
 
 
-def kernel_microbench(scheduler: str = "calendar",
-                      repeats: int = 3) -> Tuple[int, float]:
+def kernel_microbench(repeats: int = 3) -> Tuple[int, float]:
     """Run the microbenchmark; returns (kernel events, best-run seconds).
 
     Best-of-*repeats* damps host-load noise in the throughput figure; the
@@ -181,7 +180,7 @@ def kernel_microbench(scheduler: str = "calendar",
     best = float("inf")
     events = -1
     for _ in range(repeats):
-        sim = Simulator(scheduler=scheduler)
+        sim = Simulator()
         res = Resource(sim, capacity=4, name="bench.res")
         store = Store(sim, capacity=None, name="bench.store")
         for ident in range(N_PROCS):
@@ -594,18 +593,15 @@ def parallel_runner_sweep(jobs_sweep: Sequence[int] = JOBS_SWEEP
     }
 
 
-def measure(skip_experiments: bool = False,
-            scheduler: str = "calendar") -> Dict[str, Any]:
+def measure(skip_experiments: bool = False) -> Dict[str, Any]:
     """Full measurement pass; returns the baseline document."""
-    print(f"kernel microbenchmark ({N_PROCS} procs x {N_ITERS} iters, "
-          f"{scheduler} scheduler) ...")
-    events, elapsed = kernel_microbench(scheduler)
+    print(f"kernel microbenchmark ({N_PROCS} procs x {N_ITERS} iters) ...")
+    events, elapsed = kernel_microbench()
     eps = events / elapsed if elapsed > 0 else float("inf")
     print(f"  {events} events in {elapsed:.3f}s = {eps:,.0f} events/sec")
     doc: Dict[str, Any] = {
         "schema": SCHEMA,
         "kernel": {
-            "scheduler": scheduler,
             "n_procs": N_PROCS,
             "n_iters": N_ITERS,
             # recorded so --check can refuse to compare throughput
@@ -693,8 +689,7 @@ def check(tolerance: float) -> int:
     base_kernel = baseline["kernel"]
     base_eps = base_kernel["events_per_sec"]
     base_events = base_kernel.get("events")
-    scheduler = base_kernel.get("scheduler", "calendar")
-    events, elapsed = kernel_microbench(scheduler)
+    events, elapsed = kernel_microbench()
     eps = events / elapsed if elapsed > 0 else float("inf")
     if events != base_events:
         print(f"perf: DETERMINISM VIOLATION — kernel event count {events} "
@@ -720,7 +715,7 @@ def check(tolerance: float) -> int:
         return 0
     delta_pct = (eps - base_eps) / base_eps * 100.0
     print(f"perf: {eps:,.0f} events/sec vs committed baseline "
-          f"{base_eps:,.0f} ({delta_pct:+.1f}%, {scheduler} scheduler)")
+          f"{base_eps:,.0f} ({delta_pct:+.1f}%)")
     if eps * tolerance < base_eps:
         print(f"perf: kernel throughput regressed more than "
               f"{(tolerance - 1) * 100:.0f}% below the baseline "
@@ -750,15 +745,10 @@ def main(argv=None) -> int:
                              "regression in --check mode (default 1.3)")
     parser.add_argument("--no-experiments", action="store_true",
                         help="skip the timed experiment subsets")
-    parser.add_argument("--scheduler", choices=("calendar", "heap"),
-                        default="calendar",
-                        help="kernel scheduler variant to measure "
-                             "(default: calendar)")
     args = parser.parse_args(argv)
     if args.check:
         return check(args.tolerance)
-    doc = measure(skip_experiments=args.no_experiments,
-                  scheduler=args.scheduler)
+    doc = measure(skip_experiments=args.no_experiments)
     contradiction = baseline_contradiction(doc)
     if contradiction is not None:
         print(f"perf: REFUSING to write a self-contradictory baseline — "

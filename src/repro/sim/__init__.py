@@ -6,7 +6,6 @@ from .resources import Resource, Store, TokenBucket
 from .snapshot import (Checkpoint, ScenarioEngine, fork_available,
                        fork_scenarios)
 from .stats import BandwidthMeter, LatencyCollector, Summary, summarize
-from .trace import GLOBAL_TRACER, TraceRecord, Tracer
 
 __all__ = [
     "Condition", "Event", "Interrupt", "Process", "Simulator", "Timeout",
@@ -14,5 +13,4 @@ __all__ = [
     "Checkpoint", "ScenarioEngine", "fork_available", "fork_scenarios",
     "Resource", "Store", "TokenBucket",
     "BandwidthMeter", "LatencyCollector", "Summary", "summarize",
-    "GLOBAL_TRACER", "TraceRecord", "Tracer",
 ]

@@ -16,16 +16,14 @@ waiting on one event — without changing observable scheduling semantics:
   so the typical resume allocates neither a list nor a closure;
 * :meth:`Process._resume` drives ``gen.send`` / ``gen.throw`` directly
   instead of building a lambda per step;
-* the default scheduler is a **calendar queue**: events scheduled *at the
+* the scheduler is a **calendar queue**: events scheduled *at the
   current time* (the dominant class — ``succeed()``, resource grants,
   finished processes) go into a plain FIFO deque whose append order *is*
   sequence order, O(1) both ends and no tuple allocation; future events
   go into a ``(when, seq, event)`` min-heap (sequence order within one
-  timestamp is insertion order, exactly like the bucket scheme this
-  replaced — sparse nanosecond timelines made per-timestamp dict buckets
-  pure overhead).  The legacy global binary heap is retained bit-for-bit as
-  ``Simulator(scheduler="heap")`` — the reference implementation the
-  equivalence property tests run against;
+  timestamp is insertion order).  The order is exactly that of one global
+  ``(when, seq, event)`` heap — the reference the scheduler equivalence
+  property tests run against (DESIGN.md §5.2);
 * hot :class:`Timeout`/:class:`Event` instances are interned in
   module-level **freelists**: the drain loop recycles an event object
   only when ``sys.getrefcount`` proves the kernel holds the last
@@ -34,10 +32,11 @@ waiting on one event — without changing observable scheduling semantics:
   per-process scratch state: they never influence event ordering or
   results, which is why they are allowlisted in snacclint's SIM008
   spawn-safety rule (``repro.analysis.rules.spawn.SPAWN_SAFE_GLOBALS``);
-* :meth:`Simulator.run` / :meth:`run_until` use specialized drain loops
-  (no tracing, no bound) that inline event processing for plain
-  ``Event``/``Timeout`` instances; subclasses with processing hooks
-  (``Process``, ``Condition``) still go through the virtual methods.
+* :meth:`Simulator.run`, :meth:`~Simulator.run_until` and
+  :meth:`~Simulator.quiesce` share one drain loop that inlines event
+  processing for plain ``Event``/``Timeout``/deferred-call instances;
+  subclasses with processing hooks (``Process``, ``Condition``) still go
+  through the virtual methods.
 
 Example
 -------
@@ -161,10 +160,7 @@ class Event:
         self._value = value
         sim = self.sim
         sim._seq += 1
-        if sim._calendar:
-            sim._ready.append(self)
-        else:
-            heappush(sim._heap, (sim._now, sim._seq, self))
+        sim._ready.append(self)
         return self
 
     def fail(self, exc: BaseException) -> "Event":
@@ -177,10 +173,7 @@ class Event:
         self._exc = exc
         sim = self.sim
         sim._seq += 1
-        if sim._calendar:
-            sim._ready.append(self)
-        else:
-            heappush(sim._heap, (sim._now, sim._seq, self))
+        sim._ready.append(self)
         return self
 
     def add_callback(self, fn: Callable[["Event"], None]) -> None:
@@ -257,13 +250,10 @@ class Timeout(Event):
         self.delay = delay
         self._timeout_value = value
         sim._seq += 1
-        if sim._calendar:
-            if delay:
-                heappush(sim._times, (sim._now + delay, sim._seq, self))
-            else:
-                sim._ready.append(self)
+        if delay:
+            heappush(sim._times, (sim._now + delay, sim._seq, self))
         else:
-            heappush(sim._heap, (sim._now + delay, sim._seq, self))
+            sim._ready.append(self)
 
     def _before_process(self) -> None:
         if self._value is _PENDING:
@@ -409,20 +399,14 @@ class Process(Event):
         self._value = value
         sim = self.sim
         sim._seq += 1
-        if sim._calendar:
-            sim._ready.append(self)
-        else:
-            heappush(sim._heap, (sim._now, sim._seq, self))
+        sim._ready.append(self)
 
     def _fail_process(self, exc: BaseException) -> None:
         self._value = exc
         self._exc = exc
         sim = self.sim
         sim._seq += 1
-        if sim._calendar:
-            sim._ready.append(self)
-        else:
-            heappush(sim._heap, (sim._now, sim._seq, self))
+        sim._ready.append(self)
 
     def _process_callbacks(self) -> None:
         # A crash is "handled" when some other process was waiting on us
@@ -578,10 +562,7 @@ def _scheduled_event(sim: "Simulator", value: Any) -> Event:
         ev = Event(sim)
     ev._value = value
     sim._seq += 1
-    if sim._calendar:
-        sim._ready.append(ev)
-    else:
-        heappush(sim._heap, (sim._now, sim._seq, ev))
+    sim._ready.append(ev)
     return ev
 
 
@@ -599,39 +580,27 @@ class CheckpointInfo(NamedTuple):
     events: int
 
 
+#: The ``stop`` event of unconditional drains (``run``, ``quiesce``): it
+#: belongs to no simulator, so nothing can ever trigger it.
+_NEVER = Event(None)  # type: ignore[arg-type]
+#: The ``until`` bound of unbounded drains: later than any timestamp.
+_FOREVER = float("inf")
+
+
 class Simulator:
-    """The event loop: clock, calendar-queue scheduler, process factory.
+    """The event loop: clock, calendar-queue scheduler, process factory."""
 
-    ``scheduler`` selects the queue implementation:
-
-    ``"calendar"`` (default)
-        ready-deque for at-current-time events + per-timestamp buckets
-        with an int-heap over distinct pending timestamps (DESIGN.md
-        §5.2).  Identical observable order to ``"heap"``.
-    ``"heap"``
-        the original single global binary heap of ``(when, seq, event)``
-        tuples — the reference implementation used by the equivalence
-        property tests and the ``scripts/perf.py --scheduler heap`` A/B.
-    """
-
-    def __init__(self, scheduler: str = "calendar") -> None:
-        if scheduler not in ("calendar", "heap"):
-            raise ValueError(
-                f"scheduler must be 'calendar' or 'heap', got {scheduler!r}")
-        self.scheduler = scheduler
-        self._calendar = scheduler == "calendar"
+    def __init__(self) -> None:
         self._now: int = 0
         self._seq: int = 0
-        #: calendar variant: events scheduled at the current time, FIFO.
+        #: events scheduled at the current time, FIFO (append order is
+        #: sequence order).
         self._ready: Deque[Event] = deque()
-        #: calendar variant: min-heap of future (when, seq, event)
-        #: entries; seq order within a timestamp == insertion order.
+        #: min-heap of future (when, seq, event) entries, all strictly
+        #: later than ``now``; seq order within a timestamp == insertion
+        #: order.
         self._times: List[Tuple[int, int, Event]] = []
-        #: heap variant: the legacy (when, seq, event) binary heap.
-        self._heap: List[Tuple[int, int, Event]] = []
         self._crashed: List[Tuple[Process, BaseException]] = []
-        #: hook invoked as ``trace(time, event)`` for every processed event
-        self.trace_hook: Optional[Callable[[int, Event], None]] = None
 
     @property
     def now(self) -> int:
@@ -675,13 +644,10 @@ class Simulator:
         t.delay = delay
         t._timeout_value = value
         self._seq += 1
-        if self._calendar:
-            if delay:
-                heappush(self._times, (self._now + delay, self._seq, t))
-            else:
-                self._ready.append(t)
+        if delay:
+            heappush(self._times, (self._now + delay, self._seq, t))
         else:
-            heappush(self._heap, (self._now + delay, self._seq, t))
+            self._ready.append(t)
         return t
 
     def process(self, gen: Generator, name: str = "") -> Process:
@@ -718,20 +684,17 @@ class Simulator:
             raise ValueError(f"negative call delay: {delay}")
         c = pool.pop()
         c.sim = self
-        # _value/_exc are not reinitialized: a _Call is never triggered,
-        # so nothing reads them between recycles (snapshots are fork-based
-        # and never introspect pending events).
+        # _value/_exc need no reset: a _Call is never triggered, so they
+        # keep their constructor values (_PENDING/None) through every
+        # recycle.
         c._processed = False
         c.fn = fn
         c.arg = arg
         self._seq += 1
-        if self._calendar:
-            if delay:
-                heappush(self._times, (self._now + delay, self._seq, c))
-            else:
-                self._ready.append(c)
+        if delay:
+            heappush(self._times, (self._now + delay, self._seq, c))
         else:
-            heappush(self._heap, (self._now + delay, self._seq, c))
+            self._ready.append(c)
         return c
 
     def all_of(self, events: Iterable[Event]) -> Condition:
@@ -748,51 +711,9 @@ class Simulator:
         if delay:
             if type(delay) is not int:
                 delay = operator.index(delay)
-            when = self._now + delay
-            if self._calendar:
-                heappush(self._times, (when, self._seq, event))
-            else:
-                heappush(self._heap, (when, self._seq, event))
-        elif self._calendar:
+            heappush(self._times, (self._now + delay, self._seq, event))
+        else:
             self._ready.append(event)
-        else:
-            heappush(self._heap, (self._now, self._seq, event))
-
-    def _next_when(self) -> Optional[int]:
-        """Timestamp of the next scheduled event, or None when drained."""
-        if self._calendar:
-            if self._ready:
-                return self._now
-            if self._times:
-                return self._times[0][0]
-            return None
-        heap = self._heap
-        return heap[0][0] if heap else None
-
-    def step(self) -> None:
-        """Process the next scheduled event."""
-        if self._calendar:
-            ready = self._ready
-            if ready:
-                event = ready.popleft()
-            else:
-                times = self._times
-                when, _seq, event = heappop(times)
-                self._now = when
-                # move the rest of this timestamp into ready so delay-0
-                # events scheduled while processing land *after* it
-                while times and times[0][0] == when:
-                    ready.append(heappop(times)[2])
-            when = self._now
-        else:
-            when, _seq, event = heappop(self._heap)
-            if when < self._now:
-                raise SimulationError("time went backwards")  # pragma: no cover
-            self._now = when
-        if self.trace_hook is not None:
-            self.trace_hook(when, event)
-        event._before_process()
-        event._process_callbacks()
 
     def _raise_crash(self) -> None:
         proc, exc = self._crashed.pop(0)
@@ -805,10 +726,8 @@ class Simulator:
         Processes every event scheduled *at the current time* — including
         events those events schedule at the same timestamp — without ever
         advancing the clock, so the simulator comes to rest at a point
-        where the next thing that can happen is strictly in the future.
-        For the calendar scheduler that empties the ready-deque (future
-        buckets are untouched); for the heap variant it pops while the
-        head's timestamp equals ``now``.
+        where the next thing that can happen is strictly in the future
+        (the ready-deque is empty; the future heap is untouched).
 
         Also empties both module freelists (:func:`drain_freelists`), so
         no recycled :class:`Timeout`/:class:`Event` allocated before the
@@ -819,19 +738,7 @@ class Simulator:
         Returns the :class:`CheckpointInfo` the snapshot engine records
         (and the replay fallback verifies) for this barrier.
         """
-        crashed = self._crashed
-        if self._calendar:
-            ready = self._ready
-            while ready:
-                self.step()
-                if crashed:
-                    self._raise_crash()
-        else:
-            heap = self._heap
-            while heap and heap[0][0] == self._now:
-                self.step()
-                if crashed:
-                    self._raise_crash()
+        self._drain(_NEVER, self._now)
         drain_freelists()
         return CheckpointInfo(self._now, self._seq)
 
@@ -844,123 +751,7 @@ class Simulator:
         exactly at *until* is still processed.  Raises the first exception
         that escaped a process, if any.
         """
-        crashed = self._crashed
-        if until is not None or self.trace_hook is not None:
-            # Generic bounded/traced loop, shared by both scheduler
-            # variants (not the hot path — the specialized drains below
-            # are).
-            while True:
-                when = self._next_when()
-                if when is None or (until is not None and when > until):
-                    break
-                self.step()
-                if crashed:
-                    self._raise_crash()
-        elif self._calendar:
-            # Specialized calendar drain: no bound, no tracing — leaf
-            # Event/Timeout processing is inlined and dead leaf events are
-            # recycled into the freelists (this loop is the single hottest
-            # code in the simulator).
-            ready = self._ready
-            times = self._times
-            popleft = ready.popleft
-            append_ready = ready.append
-            tpool = _TIMEOUT_POOL
-            epool = _EVENT_POOL
-            cpool = _CALL_POOL
-            while True:
-                if ready:
-                    event = popleft()
-                elif times:
-                    # unpacking the heap tuple drops its event reference,
-                    # so the freelist recycle below still sees refcount 2
-                    when, _seq, event = heappop(times)
-                    self._now = when
-                    # the rest of this timestamp moves to ready now, so a
-                    # delay-0 event scheduled while processing `event`
-                    # lands after its same-timestamp peers (exactly the
-                    # bucket semantics this heap replaced)
-                    while times and times[0][0] == when:
-                        append_ready(heappop(times)[2])
-                else:
-                    break
-                cls = event.__class__
-                if cls is _Call:
-                    # Deferred-call leaf: no waiter/callbacks by
-                    # construction, so skip the virtual dispatch and
-                    # recycle the corpse like the Timeout path below.
-                    event._processed = True
-                    event.fn(event.arg)
-                    if getrefcount(event) == 2:
-                        event.sim = None  # type: ignore[assignment]
-                        event.fn = None  # type: ignore[assignment]
-                        event.arg = None
-                        if len(cpool) < _POOL_CAP:
-                            cpool.append(event)  # type: ignore[arg-type]
-                elif cls is Timeout or cls is Event:
-                    if event._value is _PENDING:
-                        # only a pending Timeout reaches the queue untriggered
-                        event._value = event._timeout_value  # type: ignore[attr-defined]
-                    event._processed = True
-                    waiter = event._waiter
-                    if waiter is not None:
-                        event._waiter = None
-                        waiter._resume(event)
-                    callbacks = event._callbacks
-                    if callbacks is not None:
-                        event._callbacks = None
-                        for fn in callbacks:
-                            fn(event)
-                    # Freelist recycle: refcount 2 == the loop local plus
-                    # getrefcount's own argument, i.e. nobody else holds
-                    # the event — safe to intern (waiter/callbacks are
-                    # already None on this path).
-                    if getrefcount(event) == 2:
-                        event.sim = None  # type: ignore[assignment]
-                        event._value = None
-                        event._exc = None
-                        if cls is Timeout:
-                            event._timeout_value = None  # type: ignore[attr-defined]
-                            if len(tpool) < _POOL_CAP:
-                                tpool.append(event)  # type: ignore[arg-type]
-                        elif len(epool) < _POOL_CAP:
-                            epool.append(event)
-                else:
-                    # Only Process._process_callbacks can append to
-                    # _crashed, and Process events take this branch — the
-                    # leaf path above cannot grow the crash list.
-                    event._before_process()
-                    event._process_callbacks()
-                    if crashed:
-                        self._raise_crash()
-        else:
-            # Specialized legacy-heap drain, kept verbatim so the
-            # ``heap`` variant stays a faithful perf/ordering reference.
-            heap = self._heap
-            while heap:
-                when, _seq, event = heappop(heap)
-                self._now = when
-                cls = event.__class__
-                if cls is Timeout or cls is Event:
-                    if event._value is _PENDING:
-                        event._value = event._timeout_value  # type: ignore[attr-defined]
-                    event._processed = True
-                    waiter = event._waiter
-                    if waiter is not None:
-                        event._waiter = None
-                        waiter._resume(event)
-                    callbacks = event._callbacks
-                    if callbacks is not None:
-                        event._callbacks = None
-                        for fn in callbacks:
-                            fn(event)
-                else:
-                    event._before_process()
-                    event._process_callbacks()
-                if crashed:
-                    self._raise_crash()
-        # Single clock-advance policy for both exit paths (drained queue and
-        # break-before-future-event): advance to `until`, never backwards.
+        self._drain(_NEVER, _FOREVER if until is None else until)
         if until is not None and until > self._now:
             self._now = until
 
@@ -969,86 +760,105 @@ class Simulator:
 
         Unlike :meth:`run`, this stops as soon as the event fires even while
         perpetual background processes (pollers, device engines) keep the
-        queue populated.
+        queue populated.  The clock advances to *until* only when a pending
+        event later than *until* stopped the run — never when the queue
+        drained first.
         """
-        crashed = self._crashed
-        if until is not None or self.trace_hook is not None \
-                or not self._calendar:
-            # Generic bounded/traced loop (also the heap variant's path).
-            while event._value is _PENDING:
-                when = self._next_when()
-                if when is None:
-                    return
-                if until is not None and when > until:
-                    if until > self._now:
-                        self._now = until
-                    return
-                self.step()
-                if crashed:
-                    self._raise_crash()
+        self._drain(event, _FOREVER if until is None else until)
+        if (until is not None and until > self._now
+                and event._value is _PENDING and self._times):
+            self._now = until
+
+    def _drain(self, stop: Event, until: float) -> None:
+        """The one event loop behind :meth:`run`/:meth:`run_until`/:meth:`quiesce`.
+
+        Processes events until *stop* triggers, the queue drains, or the
+        next event lies later than *until* (an event exactly at *until*
+        is processed; an *until* before ``now`` returns at once).  Leaf ``Event``/``Timeout``/``_Call`` processing is inlined and dead
+        leaves are recycled into the freelists (this loop is the single
+        hottest code in the simulator).  Never moves the clock past the
+        last processed event; the public wrappers own the clock policy.
+        """
+        if until < self._now:
             return
-        # Specialized calendar loop mirroring run()'s drain (see comments
-        # there; recycling included).
+        crashed = self._crashed
         ready = self._ready
         times = self._times
         popleft = ready.popleft
+        append_ready = ready.append
         tpool = _TIMEOUT_POOL
         epool = _EVENT_POOL
         cpool = _CALL_POOL
-        while event._value is _PENDING:
+        # `while True` + break, not `while <stop pending>`: CPython 3.11
+        # only warms a loop up for specialization on an unconditional
+        # back-edge, and this loop left unspecialized runs ~25% slower.
+        while True:
+            if stop._value is not _PENDING:
+                break
             if ready:
-                popped = popleft()
+                event = popleft()
             elif times:
-                # tuple unpack drops the heap's event reference, keeping
-                # the freelist recycle's refcount test at 2
-                when, _seq, popped = heappop(times)
+                when = times[0][0]
+                if when > until:
+                    break
+                # indexing the popped tuple drops its event reference, so
+                # the freelist recycle below still sees refcount 2
+                event = heappop(times)[2]
                 self._now = when
-                # same-timestamp peers move to ready before processing
-                # (see run(): preserves the replaced bucket semantics)
+                # the rest of this timestamp moves to ready now, so a
+                # delay-0 event scheduled while processing `event` lands
+                # after its same-timestamp peers (global-heap order)
                 while times and times[0][0] == when:
-                    ready.append(heappop(times)[2])
+                    append_ready(heappop(times)[2])
             else:
                 break
-            cls = popped.__class__
+            cls = event.__class__
             if cls is _Call:
-                # see run(): deferred-call leaf, recycled after firing
-                popped._processed = True
-                popped.fn(popped.arg)
-                if getrefcount(popped) == 2:
-                    popped.sim = None  # type: ignore[assignment]
-                    popped._value = None
-                    popped._exc = None
-                    popped.fn = None  # type: ignore[assignment]
-                    popped.arg = None
+                # Deferred-call leaf: no waiter/callbacks by construction,
+                # so skip the virtual dispatch and recycle the corpse like
+                # the Timeout path below.
+                event._processed = True
+                event.fn(event.arg)
+                if getrefcount(event) == 2:
+                    event.sim = None  # type: ignore[assignment]
+                    event.fn = None  # type: ignore[assignment]
+                    event.arg = None
                     if len(cpool) < _POOL_CAP:
-                        cpool.append(popped)  # type: ignore[arg-type]
+                        cpool.append(event)  # type: ignore[arg-type]
             elif cls is Timeout or cls is Event:
-                if popped._value is _PENDING:
-                    popped._value = popped._timeout_value  # type: ignore[attr-defined]
-                popped._processed = True
-                waiter = popped._waiter
+                if event._value is _PENDING:
+                    # only a pending Timeout reaches the queue untriggered
+                    event._value = event._timeout_value  # type: ignore[attr-defined]
+                event._processed = True
+                waiter = event._waiter
                 if waiter is not None:
-                    popped._waiter = None
-                    waiter._resume(popped)
-                callbacks = popped._callbacks
+                    event._waiter = None
+                    waiter._resume(event)
+                callbacks = event._callbacks
                 if callbacks is not None:
-                    popped._callbacks = None
+                    event._callbacks = None
                     for fn in callbacks:
-                        fn(popped)
-                if getrefcount(popped) == 2:
-                    popped.sim = None  # type: ignore[assignment]
-                    popped._value = None
-                    popped._exc = None
+                        fn(event)
+                # Freelist recycle: refcount 2 == the loop local plus
+                # getrefcount's own argument, i.e. nobody else holds the
+                # event — safe to intern (waiter/callbacks are already
+                # None on this path).
+                if getrefcount(event) == 2:
+                    event.sim = None  # type: ignore[assignment]
+                    event._value = None
+                    event._exc = None
                     if cls is Timeout:
-                        popped._timeout_value = None  # type: ignore[attr-defined]
+                        event._timeout_value = None  # type: ignore[attr-defined]
                         if len(tpool) < _POOL_CAP:
-                            tpool.append(popped)  # type: ignore[arg-type]
+                            tpool.append(event)  # type: ignore[arg-type]
                     elif len(epool) < _POOL_CAP:
-                        epool.append(popped)
+                        epool.append(event)
             else:
-                # see run(): only this branch can grow the crash list
-                popped._before_process()
-                popped._process_callbacks()
+                # Only Process._process_callbacks can append to _crashed,
+                # and Process events take this branch — the leaf paths
+                # above cannot grow the crash list.
+                event._before_process()
+                event._process_callbacks()
                 if crashed:
                     self._raise_crash()
 

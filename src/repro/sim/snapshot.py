@@ -83,15 +83,13 @@ class Checkpoint:
 
     now: int
     events: int
-    scheduler: str
     fault_state: Optional[Tuple[str, ...]] = None
 
     def describe(self) -> str:
         """One-line label for logs and error messages."""
         sites = ("no fault plan" if self.fault_state is None
                  else f"{len(self.fault_state)} fault site(s)")
-        return (f"t={self.now}ns after {self.events} events "
-                f"({self.scheduler} scheduler, {sites})")
+        return f"t={self.now}ns after {self.events} events ({sites})"
 
 
 def _default_sim_of(world: Any) -> Simulator:
@@ -183,7 +181,6 @@ class ScenarioEngine:
         sim = self._sim_of(world)
         info = sim.quiesce()
         ck = Checkpoint(now=info.now, events=info.events,
-                        scheduler=sim.scheduler,
                         fault_state=_freeze_fault_state(
                             self._fault_plan_of(world)))
         return world, ck

@@ -36,7 +36,7 @@ def doc(host_cores, jobs4_speedup, schema=None, fork=None):
         fork_section.update(fork)
     return {
         "schema": perf.SCHEMA if schema is None else schema,
-        "kernel": {"scheduler": "calendar", "n_procs": perf.N_PROCS,
+        "kernel": {"n_procs": perf.N_PROCS,
                    "n_iters": perf.N_ITERS, "host_cores": host_cores,
                    "events": 192128, "seconds": 0.2,
                    "events_per_sec": 1_000_000},

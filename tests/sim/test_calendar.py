@@ -1,31 +1,71 @@
-"""Heap-vs-calendar equivalence property tests.
+"""Calendar-queue vs global-heap equivalence property tests.
 
 The calendar-queue scheduler (DESIGN.md §5) must be *observably
-identical* to the legacy binary heap: same process interleaving, same
-timestamps, same final clock and sequence count, for any workload.  The
-heap variant is kept in the kernel precisely to serve as the reference
-here — these tests run seeded pseudo-random workloads under both
-schedulers and require the logs to match exactly.
+identical* to one global binary heap of ``(when, seq, event)`` tuples:
+same process interleaving, same timestamps, same final clock and
+sequence count, for any workload and through every public entry point
+(``run``, ``run(until=)``, ``run_until`` and ``quiesce``).
+:class:`HeapSimulator` below is that reference — these tests run seeded
+pseudo-random workloads on both kernels and require the logs to match
+exactly.
 
 Each worker owns a private seeded ``random.Random``, so its *behaviour*
 is a pure function of its seed; the shared log then captures the
-kernel's interleaving decisions and nothing else.  The untraced runs
-exercise the specialized calendar drain (the production hot loop), the
-traced run pins the generic loop to the same order.
+kernel's interleaving decisions and nothing else.
 """
 
 import random
+from heapq import heappop, heappush
 
 import pytest
 
-from repro.sim.core import Simulator
+from repro.sim.core import _PENDING, Simulator
 from repro.sim.resources import Resource, Store
 
 N_WORKERS = 8
 N_STEPS = 40
 #: mix of zero, small, clustered, and far-future delays so ready-deque,
-#: bucket-collision, and overflow-ordering paths all get exercised
+#: same-timestamp, and far-future ordering paths all get exercised
 DELAYS = (0, 0, 1, 3, 7, 97, 1_000, 1_000_000)
+
+
+class _HeapReady:
+    """Stands in for the ready-deque: a delay-0 append goes onto the
+    global heap at the current time, under the seq the caller just took."""
+
+    __slots__ = ("sim",)
+
+    def __init__(self, sim):
+        self.sim = sim
+
+    def append(self, event):
+        sim = self.sim
+        heappush(sim._times, (sim._now, sim._seq, event))
+
+
+class HeapSimulator(Simulator):
+    """Reference kernel: every event on one ``(when, seq, event)`` heap,
+    processed one at a time through the virtual methods."""
+
+    def __init__(self):
+        super().__init__()
+        self._ready = _HeapReady(self)
+
+    def _drain(self, stop, until):
+        if until < self._now:
+            return
+        times = self._times
+        while stop._value is _PENDING and times and times[0][0] <= until:
+            when, _seq, event = heappop(times)
+            self._now = when
+            event._before_process()
+            event._process_callbacks()
+            if self._crashed:
+                self._raise_crash()
+
+
+KERNELS = pytest.mark.parametrize("sim_cls", (Simulator, HeapSimulator),
+                                  ids=("calendar", "heap"))
 
 
 def _worker(sim, res, store, log, rng, ident):
@@ -48,24 +88,38 @@ def _worker(sim, res, store, log, rng, ident):
             log.append(("get", sim.now, ident, item))
 
 
-def _run(scheduler, seed, until=None, traced=False):
-    sim = Simulator(scheduler=scheduler)
+def _run(sim_cls, seed, until=None, stop_at=None):
+    """One seeded workload; with *stop_at*, first ``run_until`` that
+    worker finishes (bounded by *until*) and ``quiesce``, then resume."""
+    sim = sim_cls()
     res = Resource(sim, capacity=3)
     store = Store(sim, capacity=4)
     log = []
-    if traced:
-        sim.trace_hook = lambda when, event: None
+    procs = []
     for ident in range(N_WORKERS):
         rng = random.Random(seed * 1009 + ident)
-        _ = sim.process(_worker(sim, res, store, log, rng, ident))
+        procs.append(sim.process(_worker(sim, res, store, log, rng, ident)))
+    marks = []
+    if stop_at is not None:
+        sim.run_until(procs[stop_at], until=until)
+        marks.append((len(log), sim.now, sim._seq))
+        marks.append((len(log), sim.quiesce()))
     sim.run(until=until)
-    return log, sim.now, sim._seq
+    return log, marks, sim.now, sim._seq
+
+
+def test_oracle_schedules_everything_on_one_heap():
+    sim = HeapSimulator()
+    sim.event().succeed()
+    _ = sim.timeout(0)
+    _ = sim.timeout(5)
+    assert [entry[0] for entry in sorted(sim._times)] == [0, 0, 5]
 
 
 @pytest.mark.parametrize("seed", range(6))
 def test_full_run_equivalence(seed):
-    calendar = _run("calendar", seed)
-    heap = _run("heap", seed)
+    calendar = _run(Simulator, seed)
+    heap = _run(HeapSimulator, seed)
     assert calendar == heap
 
 
@@ -74,20 +128,26 @@ def test_bounded_run_equivalence(seed):
     # stop mid-flight: the clock must land on `until` and the partial
     # interleavings must agree entry for entry
     for until in (0, 1, 500, 10_000, 2_000_000):
-        calendar = _run("calendar", seed, until=until)
-        heap = _run("heap", seed, until=until)
+        calendar = _run(Simulator, seed, until=until)
+        heap = _run(HeapSimulator, seed, until=until)
         assert calendar == heap, f"diverged with until={until}"
 
 
 @pytest.mark.parametrize("seed", (1, 4))
-def test_specialized_drain_matches_generic_loop(seed):
-    # the untraced calendar run takes the specialized recycling drain,
-    # the traced one the generic step() loop — same observable order
-    assert _run("calendar", seed) == _run("calendar", seed, traced=True)
+def test_run_until_and_quiesce_equivalence(seed):
+    # run_until stops the moment a worker finishes, leaving same-instant
+    # work for quiesce to settle; with a bound it may stop on `until`
+    # instead — both kernels must agree at every mark
+    for stop_at in (0, N_WORKERS - 1):
+        for until in (None, 0, 500, 10_000, 2_000_000):
+            calendar = _run(Simulator, seed, until=until, stop_at=stop_at)
+            heap = _run(HeapSimulator, seed, until=until, stop_at=stop_at)
+            assert calendar == heap, (
+                f"diverged with stop_at={stop_at}, until={until}")
 
 
-@pytest.mark.parametrize("scheduler", ("calendar", "heap"))
-def test_run_until_equivalence(scheduler):
+@KERNELS
+def test_run_until_equivalence(sim_cls):
     def one_shot(sim, store, log):
         item = yield store.get()
         log.append(("got", sim.now, item))
@@ -98,7 +158,7 @@ def test_run_until_equivalence(scheduler):
             yield sim.timeout(50)
             yield store.put(i)
 
-    sim = Simulator(scheduler=scheduler)
+    sim = sim_cls()
     store = Store(sim, capacity=2)
     log = []
     _ = sim.process(feeder(sim, store))
@@ -110,7 +170,7 @@ def test_run_until_equivalence(scheduler):
 
 def test_same_timestamp_fifo_order_matches():
     # every event lands at t=0/t=5 — pure sequence-number ordering,
-    # the regime where a sloppy bucket implementation would reorder
+    # the regime where a sloppy calendar implementation would reorder
     def burst(sim, log, ident):
         yield sim.timeout(0)
         log.append(("a", ident))
@@ -119,17 +179,12 @@ def test_same_timestamp_fifo_order_matches():
         yield sim.timeout(0)
         log.append(("c", ident))
 
-    logs = {}
-    for scheduler in ("calendar", "heap"):
-        sim = Simulator(scheduler=scheduler)
+    logs = []
+    for sim_cls in (Simulator, HeapSimulator):
+        sim = sim_cls()
         log = []
         for ident in range(16):
             _ = sim.process(burst(sim, log, ident))
         sim.run()
-        logs[scheduler] = log
-    assert logs["calendar"] == logs["heap"]
-
-
-def test_unknown_scheduler_rejected():
-    with pytest.raises(ValueError, match="scheduler"):
-        Simulator(scheduler="splay")
+        logs.append(log)
+    assert logs[0] == logs[1]

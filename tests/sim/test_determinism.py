@@ -3,49 +3,63 @@
 Two runs of the same seeded model must produce the *same event sequence*,
 not merely the same summary numbers — every figure in the bench suite
 rests on that property, and the kernel fast paths (DESIGN.md §5) must not
-erode it.  This builds the full SNAcc system twice, traces every processed
-event through ``sim.trace_hook``, and requires the traces and the measured
-bandwidths to match exactly.
+erode it.  This builds the full SNAcc system twice, records every process
+step as ``(sim.now, process name)`` through a wrapped ``Process._resume``,
+and requires the traces and the measured bandwidths to match exactly.
 """
+
+import pytest
 
 from repro.core import StreamerVariant, build_snacc_system
 from repro.core.bench import SnaccPerf
-from repro.sim import Simulator
+from repro.sim import Process, Simulator
 from repro.systems import HostSystemConfig
 from repro.units import MiB
 
 
-def _traced_run():
-    """Build, initialize, and run a small workload; returns (trace, gbps)."""
-    sim = Simulator()
+@pytest.fixture
+def steps(monkeypatch):
+    """A list that receives ``(now, name)`` for every process resume."""
     trace = []
+    resume = Process._resume
+
+    def traced_resume(proc, event):
+        trace.append((proc.sim.now, proc.name))
+        resume(proc, event)
+
+    monkeypatch.setattr(Process, "_resume", traced_resume)
+    return trace
+
+
+def _traced_run(steps):
+    """Build, initialize, and run a small workload; returns (trace, gbps)."""
+    start = len(steps)
+    sim = Simulator()
     system = build_snacc_system(sim, StreamerVariant.URAM,
                                 HostSystemConfig(functional=False))
-    sim.trace_hook = lambda when, event: trace.append(
-        (when, type(event).__name__))
     system.initialize()
     perf = SnaccPerf(sim, system.user)
     seq = sim.run_process(perf.seq_read(4 * MiB))
     rand = sim.run_process(perf.rand_read(2 * MiB))
-    return trace, seq.gbps, rand.gbps
+    return steps[start:], seq.gbps, rand.gbps
 
 
-def test_two_seeded_runs_interleave_identically():
-    trace_a, seq_a, rand_a = _traced_run()
-    trace_b, seq_b, rand_b = _traced_run()
+def test_two_seeded_runs_interleave_identically(steps):
+    trace_a, seq_a, rand_a = _traced_run(steps)
+    trace_b, seq_b, rand_b = _traced_run(steps)
     assert seq_a == seq_b
     assert rand_a == rand_b
     assert len(trace_a) == len(trace_b)
     # compare pointwise to localize any divergence instead of one giant diff
     for i, (ea, eb) in enumerate(zip(trace_a, trace_b)):
         assert ea == eb, (
-            f"trace diverged at event {i}: run A {ea} vs run B {eb}")
+            f"trace diverged at step {i}: run A {ea} vs run B {eb}")
 
 
-def test_trace_covers_the_whole_run():
-    trace, _seq, _rand = _traced_run()
+def test_trace_covers_the_whole_run(steps):
+    trace, _seq, _rand = _traced_run(steps)
     # a full system bring-up plus two workloads is tens of thousands of
-    # events; an empty or tiny trace means the hook was bypassed
+    # process steps; an empty or tiny trace means the wrapper was bypassed
     assert len(trace) > 10_000
     times = [t for t, _name in trace]
     assert times == sorted(times), "trace timestamps must be monotonic"

@@ -9,6 +9,8 @@ constructed one — no stale ``_waiter``, ``_callbacks``, ``_value``,
 ``Simulator`` instances in the same process.
 """
 
+import pytest
+
 from repro.sim import core
 from repro.sim.core import _PENDING, Simulator
 from repro.sim.resources import Store
@@ -144,18 +146,50 @@ def test_pool_never_exceeds_cap():
     assert len(core._TIMEOUT_POOL) <= core._POOL_CAP
 
 
-def test_run_until_drain_also_recycles():
+#: every public way to drain a simulator; each must go through the one
+#: recycling loop
+ENTRY_POINTS = {
+    "run": lambda sim: sim.run(),
+    "run_bounded": lambda sim: sim.run(until=1_000),
+    "run_until": lambda sim: sim.run_until(sim.event()),
+    "quiesce": lambda sim: sim.quiesce(),
+}
+
+
+def _drain_through(entry, monkeypatch):
+    """Churn timeouts and deferred calls at t=0, drained via *entry*."""
     _drain_pools()
+    core._CALL_POOL.clear()
+    # quiesce empties the pools on its way out; keep what its loop put there
+    monkeypatch.setattr(core, "drain_freelists", lambda: (0, 0))
     sim = Simulator()
+    seen = []
 
-    def background(sim):
-        while True:
-            yield sim.timeout(10)
+    def churn(sim):
+        for i in range(5):
+            yield sim.timeout(0)
+            # unbound on purpose: a held handle would block the recycle
+            sim.schedule_call(0, seen.append, i)
 
-    def finisher(sim):
-        yield sim.timeout(200)
-        return "done"
+    for _ in range(4):
+        _ = sim.process(churn(sim))
+    ENTRY_POINTS[entry](sim)
+    assert sorted(seen) == sorted(list(range(5)) * 4)
 
-    _ = sim.process(background(sim))
-    assert sim.run_process(finisher(sim)) == "done"
-    assert core._TIMEOUT_POOL, "run_until's drain should recycle too"
+
+@pytest.mark.parametrize("entry", ENTRY_POINTS)
+def test_every_entry_point_recycles(entry, monkeypatch):
+    _drain_through(entry, monkeypatch)
+    assert core._TIMEOUT_POOL, f"{entry} should recycle timeouts"
+    assert core._CALL_POOL, f"{entry} should recycle deferred calls"
+
+
+@pytest.mark.parametrize("entry", ENTRY_POINTS)
+def test_pooled_call_state_is_independent_of_entry_point(entry, monkeypatch):
+    # a _Call is never triggered, so a pooled one keeps its constructor
+    # _value/_exc; only its references are scrubbed
+    _drain_through(entry, monkeypatch)
+    assert core._CALL_POOL
+    for c in core._CALL_POOL:
+        assert (c.sim, c._value, c._exc, c.fn, c.arg, c._processed) == (
+            None, _PENDING, None, None, None, True)

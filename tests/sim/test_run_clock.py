@@ -3,7 +3,8 @@
 The original tail advanced the clock to ``until`` only on the drained-heap
 path and could *rewind* it on the break path when ``until`` lay in the
 past; both exits now share one policy: ``now = max(now, until)``.
-Also covers the integer-only delay contract enforced at the kernel edge.
+``run_until`` differs on purpose: it advances to ``until`` only when a
+pending event later than ``until`` stopped it.  Also covers the integer-only delay contract enforced at the kernel edge.
 """
 
 import pytest
@@ -75,6 +76,32 @@ class TestRunUntilClock:
         ev = sim.event()
         sim.run_until(ev, until=60)
         assert sim.now == 200
+
+    def test_run_until_break_path_advances_to_until(self):
+        sim = Simulator()
+        log = []
+        _ = sim.process(one_shot(sim, 500, log))
+        sim.run_until(sim.event(), until=100)
+        assert log == []
+        assert sim.now == 100
+
+    def test_run_until_drained_queue_keeps_clock(self):
+        # unlike run(until=), a queue that drains before `until` leaves
+        # the clock on the last processed event
+        sim = Simulator()
+        log = []
+        _ = sim.process(one_shot(sim, 10, log))
+        sim.run_until(sim.event(), until=100)
+        assert log == [10]
+        assert sim.now == 10
+
+    def test_run_until_trigger_keeps_clock(self):
+        sim = Simulator()
+        log = []
+        _ = sim.process(ticker(sim, 50, log))
+        done = sim.timeout(120)
+        sim.run_until(done, until=1_000)
+        assert sim.now == 120
 
 
 class TestIntegerDelayContract:

@@ -22,6 +22,8 @@ from repro.sim.resources import Store
 from repro.sim.snapshot import (Checkpoint, ScenarioEngine, fork_available,
                                 fork_scenarios)
 
+from .test_calendar import KERNELS
+
 needs_fork = pytest.mark.skipif(not fork_available(),
                                 reason="os.fork not available")
 
@@ -44,13 +46,13 @@ def single_threaded_host():
 class MiniWorld:
     """A tiny producer/consumer pipeline with churn worth checkpointing.
 
-    The warm phase runs it to completion with the *unbounded* drain loop
-    — the only loop that recycles dead events into the freelists — so a
-    checkpoint taken afterwards sits on top of real recycling traffic.
+    The warm phase runs it to completion with the drain loop, which
+    recycles dead events into the freelists, so a checkpoint taken
+    afterwards sits on top of real recycling traffic.
     """
 
-    def __init__(self, scheduler="calendar"):
-        self.sim = Simulator(scheduler=scheduler)
+    def __init__(self):
+        self.sim = Simulator()
         self.store = Store(self.sim, capacity=4)
         self.seen = []
         _ = self.sim.process(self._producer(200), name="producer")
@@ -107,9 +109,9 @@ def payloads_json(results):
 
 
 class TestQuiesce:
-    @pytest.mark.parametrize("scheduler", ["calendar", "heap"])
-    def test_settles_current_instant_without_advancing(self, scheduler):
-        sim = Simulator(scheduler=scheduler)
+    @KERNELS
+    def test_settles_current_instant_without_advancing(self, sim_cls):
+        sim = sim_cls()
         fired = []
 
         def now_proc(sim):
