@@ -13,7 +13,7 @@ Unknown flags are errors (argparse), not silently ignored::
     python -m repro.bench --json report.json   # machine-readable rows
     python -m repro.bench --no-cache           # always re-simulate
     python -m repro.bench --clear-cache        # drop .bench_cache/ first
-    python -m repro.bench --coarsening per_frame   # reference fleet path
+    python -m repro.bench --coarsening per_frame   # per-frame reference path
     python -m repro.bench --quick --only fleet --profile   # cProfile jobs
 """
 
@@ -70,9 +70,10 @@ def build_arg_parser() -> argparse.ArgumentParser:
                              "$REPRO_BENCH_CACHE)")
     parser.add_argument("--coarsening", choices=("train", "per_frame"),
                         default="train",
-                        help="fleet kernel fast path (train, default) or "
-                             "the per-frame reference path; the report is "
-                             "byte-identical either way")
+                        help="frame-train fast path of the case study and "
+                             "fleet (train, default) or the per-frame "
+                             "reference path; the report is byte-identical "
+                             "either way")
     parser.add_argument("--profile", action="store_true",
                         help="cProfile the selected jobs (implies --jobs 1 "
                              "and bypasses the cache); top-20 cumulative "

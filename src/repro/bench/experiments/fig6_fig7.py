@@ -11,6 +11,7 @@ from typing import Dict
 
 from ...apps.case_study import (CaseStudyConfig, CaseStudyResult,
                                 IMPLEMENTATIONS, run_case_study)
+from ...systems import HostSystemConfig
 from ..paper import FIG6, FIG7_ORDER
 from ..runner import ExperimentResult
 
@@ -19,9 +20,15 @@ __all__ = ["run_case_study_all", "case_study_point",
 
 
 def case_study_point(implementation: str, n_images: int,
-                     warmup_images: int) -> CaseStudyResult:
-    """Run one implementation on a private simulator (one parallel job)."""
-    config = CaseStudyConfig(n_images=n_images, warmup_images=warmup_images)
+                     warmup_images: int,
+                     coarsening: str = "train") -> CaseStudyResult:
+    """Run one implementation on a private simulator (one parallel job).
+
+    *coarsening* selects the Ethernet front end's frame-train fast path
+    or the per-frame reference path; both give identical results.
+    """
+    config = CaseStudyConfig(n_images=n_images, warmup_images=warmup_images,
+                             host=HostSystemConfig(coarsening=coarsening))
     return run_case_study(implementation, config)
 
 

@@ -112,8 +112,10 @@ def _run_fig4c_point(system_name: str, samples: int) -> Any:
 
 
 def _run_case_study_point(implementation: str, n_images: int,
-                          warmup_images: int) -> Any:
-    return case_study_point(implementation, n_images, warmup_images).to_json()
+                          warmup_images: int,
+                          coarsening: str = "train") -> Any:
+    return case_study_point(implementation, n_images, warmup_images,
+                            coarsening=coarsening).to_json()
 
 
 def _run_ablation_qd_point(qd: int, total_bytes: int) -> Any:
@@ -309,10 +311,11 @@ def build_plan(profile: str = "full",
 
     ``only`` keeps the named stages (ids from :data:`EXPERIMENTS`);
     unknown names raise ``ValueError`` listing the vocabulary.
-    ``coarsening`` selects the fleet kernel fast path (``"train"``, the
-    default) or the per-frame reference path (``"per_frame"``); both
-    produce byte-identical reports — the knob only changes wall-clock
-    (and the cache key, since it is part of the job kwargs).
+    ``coarsening`` selects the frame-train fast path (``"train"``, the
+    default) or the per-frame reference path (``"per_frame"``) for the
+    case-study and fleet jobs; both produce byte-identical reports — the
+    knob only changes wall-clock (and those jobs' cache keys, since it is
+    part of their kwargs).
     """
     if profile not in PROFILES:
         raise ValueError(f"unknown profile {profile!r}; "
@@ -351,7 +354,8 @@ def build_plan(profile: str = "full",
         Stage("case study", "case_study",
               [_job("case_study", impl, "case_study_point",
                     implementation=impl, n_images=sizes["images"],
-                    warmup_images=sizes["warmup_images"])
+                    warmup_images=sizes["warmup_images"],
+                    coarsening=coarsening)
                for impl in IMPLEMENTATIONS],
               _merge_case_study),
         Stage("A1 queue depth", "ablation_qd",

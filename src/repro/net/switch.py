@@ -166,8 +166,9 @@ class _GwFunnel:
     state, that is an exact hand-back to the classic chain; otherwise
     the port *fuses*: scheduled deliveries keep their computed times,
     the chain reclaims the port once the virtual schedule drains, and
-    ``switch.funnel_fuses`` counts the event (timing past a fuse is
-    best-effort, and the gated benchmark family asserts zero fuses).
+    ``switch.funnel_fuses`` counts the event.  Exactness past a fuse is
+    not proven by construction; ``tests/net/test_train_equivalence.py``
+    compares fusing GET+PUT runs against the per-frame path.
     """
 
     __slots__ = ("switch", "port", "tx", "peer", "prop", "cap",
@@ -343,24 +344,11 @@ class _GwFunnel:
         sw.funnel_fuses += 1
         # Best effort: committed deliveries keep their computed times;
         # the chain reclaims the port when the virtual schedule drains.
-        chain = sw._chains[self.port]
-        chain.parked = False
+        sw._chains[self.port].parked = False
         busy_until = pend[-1][4] if pend else self.floor_end
-        self._sim.schedule_call(busy_until - now, self._release_port)
+        self._sim.schedule_call(busy_until - now, sw._release_port,
+                                self.port)
         return False
-
-    def _release_port(self, _arg: object = None) -> None:
-        sw = self.switch
-        chain = sw._chains[self.port]
-        ok, nxt = chain.queue.try_get()
-        if not ok:
-            chain.parked = True
-            return
-        sw._in_transit[self.port] += 1
-        if chain.tx._tx_paused:
-            chain.idle.succeed(nxt)
-            return
-        chain.begin_now(nxt)
 
 
 class _UplinkRelay:
@@ -548,23 +536,10 @@ class _UplinkRelay:
         if self.cur_end <= now:
             return False
         sw.funnel_fuses += 1
-        chain = sw._chains[self.port]
-        chain.parked = False
-        self._sim.schedule_call(self.cur_end - now, self._release_port)
+        sw._chains[self.port].parked = False
+        self._sim.schedule_call(self.cur_end - now, sw._release_port,
+                                self.port)
         return False
-
-    def _release_port(self, _arg: object = None) -> None:
-        sw = self.switch
-        chain = sw._chains[self.port]
-        ok, nxt = chain.queue.try_get()
-        if not ok:
-            chain.parked = True
-            return
-        sw._in_transit[self.port] += 1
-        if chain.tx._tx_paused:
-            chain.idle.succeed(nxt)
-            return
-        chain.begin_now(nxt)
 
 
 class _EgressChain:
@@ -744,8 +719,7 @@ class EthernetSwitch:
         train = coarsening == "train"
         self._funnel_dead: List[bool] = [not train] * n_ports
         self._relay_dead: List[bool] = [not train] * n_ports
-        #: funnel/relay teardowns that abandoned outstanding virtual
-        #: state (timing past a fuse is best-effort; gated runs assert 0)
+        #: funnel/relay teardowns that left outstanding virtual state
         self.funnel_fuses = 0
         for i, port in enumerate(self.ports):
             # backrefs let a neighbouring switch recognise this port as a
@@ -830,6 +804,19 @@ class EthernetSwitch:
         self._relays[out] = relay
         return relay
 
+    def _release_port(self, port: int) -> None:
+        """Hand *port* back to its egress chain once a fuse has drained."""
+        chain = self._chains[port]
+        ok, nxt = chain.queue.try_get()
+        if not ok:
+            chain.parked = True
+            return
+        self._in_transit[port] += 1
+        if chain.tx._tx_paused:
+            chain.idle.succeed(nxt)
+            return
+        chain.begin_now(nxt)
+
     # ------------------------------------------------------------ forwarding
     def start(self) -> None:
         """Launch per-port ingress and egress engines (idempotent)."""
@@ -894,19 +881,6 @@ class EthernetSwitch:
             else:
                 yield self._egress[out].put(frame)
             self._holding[i] -= 1
-
-    def _egress_submit(self, out: int, frame: EthernetFrame) -> bool:
-        """Fast-path a frame into egress *out*; False when the queue is full."""
-        fun = self._funnels[out]
-        if fun is None and not self._funnel_dead[out]:
-            fun = self._funnel_for(out)
-        if fun is not None and fun.absorb_now(frame):
-            return True
-        chain = self._chains[out]
-        if chain is not None and chain.parked:
-            chain.submit(frame)
-            return True
-        return self._egress[out].try_put(frame)
 
     def _egress_loop(self, i: int):
         queue, tx = self._egress[i], self.ports[i]

@@ -135,12 +135,12 @@ class TestRowSerialization:
 
 
 class TestCoarseningPlan:
-    def test_coarsening_reaches_only_fleet_jobs(self):
+    def test_coarsening_reaches_fleet_and_case_study_jobs(self):
         plan = build_plan("tiny", coarsening="per_frame")
         for stage in plan:
             for spec in stage.jobs:
                 kwargs = spec.kwargs_dict()
-                if stage.experiment == "fleet":
+                if stage.experiment in ("case_study", "fleet"):
                     assert kwargs["coarsening"] == "per_frame", spec.label
                 else:
                     assert "coarsening" not in kwargs, spec.label

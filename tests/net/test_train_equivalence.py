@@ -23,7 +23,8 @@ import json
 import pytest
 
 from repro.faults import FaultConfig, FaultPlan
-from repro.fleet import FleetConfig, FleetWorkload, run_fleet, run_incast
+from repro.fleet import (FleetConfig, FleetWorkload, build_fleet,
+                         generate_requests, run_fleet, run_incast)
 from repro.net import EthernetFrame, EthernetMac
 from repro.sim import Simulator
 from repro.sim.stats import FaultStats
@@ -223,3 +224,40 @@ class TestFleetTrainEquivalence:
             for mode in MODES}
         assert _canon(results["train"]) == _canon(results["per_frame"])
         assert results["train"].spine_pause_frames > 0
+
+    @pytest.mark.parametrize("put_at_ns,spine_fuses", [
+        (38540, 0),   # leaf0's funnel toward n0 fuses
+        (97123, 1),   # the spine's relay toward leaf0 fuses too, and a
+                      # frame queues behind it before the port comes back
+    ])
+    def test_mixed_get_put_fuse_stays_exact(self, put_at_ns, spine_fuses):
+        # A PUT to n0 starts while GET requests toward n0 are scheduled
+        # but still in flight on the arithmetic fast paths.  n0 vetoes
+        # PUT data, so those paths die with virtual state outstanding (a
+        # fuse) and the egress chain reclaims each port only once the
+        # scheduled frames are out.
+        workload = FleetWorkload(n_objects=64, n_requests=120,
+                                 mean_interarrival_ns=1500, seed=7)
+        results, fuses = {}, {}
+        for mode in MODES:
+            sim = Simulator()
+            fleet = build_fleet(sim, FleetConfig(n_nodes=2, coarsening=mode))
+            fleet.start()
+            requests = generate_requests(workload)
+            fleet.meter.mark_start(requests[0].issue_ns)
+            gateways = fleet.gateways
+            for g, gateway in enumerate(gateways):
+                gateway.start(requests[g::len(gateways)])
+
+            def put(sim=sim, gateway=gateways[0], stream=len(requests)):
+                yield sim.timeout(put_at_ns)
+                yield from gateway.put("n0", stream, 16 * KiB)
+
+            _ = sim.process(put())
+            sim.run()
+            results[mode] = fleet.result(offered=len(requests) + 1)
+            fuses[mode] = [sw.funnel_fuses
+                           for sw in [fleet.spine] + fleet.leaves]
+        assert fuses == {"train": [spine_fuses, 1], "per_frame": [0, 0]}
+        assert _canon(results["train"]) == _canon(results["per_frame"])
+        assert results["train"].completed == 121
