@@ -3,7 +3,9 @@
 Regenerates every table and figure of the paper plus the ablations and
 prints measured-vs-paper comparison tables.  The report text on stdout
 is fully deterministic — byte-identical for any ``--jobs`` count and for
-cached re-runs — while progress and timing go to stderr.
+cached re-runs — while progress and timing go to stderr: one line per
+job, then, for jobs run in this process, the seconds of each stage and
+their serial total.
 
 Unknown flags are errors (argparse), not silently ignored::
 
@@ -70,10 +72,10 @@ def build_arg_parser() -> argparse.ArgumentParser:
                              "$REPRO_BENCH_CACHE)")
     parser.add_argument("--coarsening", choices=("train", "per_frame"),
                         default="train",
-                        help="frame-train fast path of the case study and "
-                             "fleet (train, default) or the per-frame "
-                             "reference path; the report is byte-identical "
-                             "either way")
+                        help="frame-train fast path of the case study, "
+                             "A7 flow control and fleet (train, default) or "
+                             "the per-frame reference path; the report is "
+                             "byte-identical either way")
     parser.add_argument("--profile", action="store_true",
                         help="cProfile the selected jobs (implies --jobs 1 "
                              "and bypasses the cache); top-20 cumulative "
@@ -127,6 +129,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     else:
         results, stats = execute_plan(plan, jobs=jobs, cache=cache, echo=echo)
     wall = time.perf_counter() - t0
+    if stats.stage_seconds:
+        for label, seconds in stats.stage_seconds.items():
+            echo(f"  stage {label}: {seconds:.1f}s")
+        echo(f"  serial total: {sum(stats.stage_seconds.values()):.1f}s")
 
     text, ok = render_report(results)
     sys.stdout.write(text)

@@ -267,13 +267,19 @@ def ablation_burst_coalescing(transfer_bytes: int = 128 * MiB
     return result
 
 
-def ablation_flow_control_point(fc_label: str,
-                                n_frames: int) -> List[ExperimentRow]:
-    """A7, one pause setting ('flow_control_on' / 'flow_control_off')."""
+def ablation_flow_control_point(fc_label: str, n_frames: int,
+                                coarsening: str = "train"
+                                ) -> List[ExperimentRow]:
+    """A7, one pause setting ('flow_control_on' / 'flow_control_off').
+
+    ``coarsening`` selects the MACs' frame-train fast path or the
+    per-frame reference path; the rows are identical either way.
+    """
     fc = fc_label == "flow_control_on"
     sim = Simulator()
-    tx = EthernetMac(sim, "tx", flow_control=fc)
-    rx = EthernetMac(sim, "rx", rx_fifo_bytes=64 * KiB, flow_control=fc)
+    tx = EthernetMac(sim, "tx", flow_control=fc, coarsening=coarsening)
+    rx = EthernetMac(sim, "rx", rx_fifo_bytes=64 * KiB, flow_control=fc,
+                     coarsening=coarsening)
     tx.connect(rx)
     received = [0]
 

@@ -144,8 +144,10 @@ def _run_ablation_burst_point(burst_label: str, transfer_bytes: int) -> Any:
     return rows_to_json(ablation_burst_point(burst_label, transfer_bytes))
 
 
-def _run_ablation_fc_point(fc_label: str, n_frames: int) -> Any:
-    return rows_to_json(ablation_flow_control_point(fc_label, n_frames))
+def _run_ablation_fc_point(fc_label: str, n_frames: int,
+                           coarsening: str = "train") -> Any:
+    return rows_to_json(ablation_flow_control_point(fc_label, n_frames,
+                                                    coarsening=coarsening))
 
 
 def _run_ablation_bufsize_point(mib: int, transfer_bytes: int) -> Any:
@@ -313,9 +315,9 @@ def build_plan(profile: str = "full",
     unknown names raise ``ValueError`` listing the vocabulary.
     ``coarsening`` selects the frame-train fast path (``"train"``, the
     default) or the per-frame reference path (``"per_frame"``) for the
-    case-study and fleet jobs; both produce byte-identical reports — the
-    knob only changes wall-clock (and those jobs' cache keys, since it is
-    part of their kwargs).
+    case-study, A7 flow-control and fleet jobs; both produce
+    byte-identical reports — the knob only changes wall-clock (and those
+    jobs' cache keys, since it is part of their kwargs).
     """
     if profile not in PROFILES:
         raise ValueError(f"unknown profile {profile!r}; "
@@ -397,7 +399,8 @@ def build_plan(profile: str = "full",
                           ABLATION_TITLES["ablation_burst"])),
         Stage("A7 flow control", "ablation_fc",
               [_job("ablation_fc", fc_label, "ablation_fc_point",
-                    fc_label=fc_label, n_frames=sizes["fc_frames"])
+                    fc_label=fc_label, n_frames=sizes["fc_frames"],
+                    coarsening=coarsening)
                for fc_label in ("flow_control_on", "flow_control_off")],
               _merge_rows("ablation_fc", ABLATION_TITLES["ablation_fc"])),
         Stage("A8 buffer size", "ablation_bufsize",
@@ -458,6 +461,9 @@ class RunStats:
     hits: int = 0
     misses: int = 0
     executed: int = 0
+    #: host seconds of the jobs run in this process (``jobs == 1``), by
+    #: stage label in declared order; pool workers' jobs are not timed
+    stage_seconds: Dict[str, float] = field(default_factory=dict)
 
     def summary(self) -> str:
         return (f"{self.executed} job(s) simulated, "
@@ -502,7 +508,11 @@ def execute_plan(stages: Sequence[Stage], jobs: int = 1,
         for si, ji, spec in pending:
             t0 = time.perf_counter()
             payloads[si, ji] = execute_job(spec)
-            echo(f"  {spec.label}: ran in {time.perf_counter() - t0:.1f}s")
+            took = time.perf_counter() - t0
+            echo(f"  {spec.label}: ran in {took:.1f}s")
+            label = stages[si].label
+            stats.stage_seconds[label] = \
+                stats.stage_seconds.get(label, 0.0) + took
     elif pending:
         pool = get_pool(jobs)
         # Round-robin striping interleaves adjacent (similar-cost) jobs

@@ -91,7 +91,8 @@ class DramController(TimedMemory):
         return t
 
     def _service(self, direction: str, addr: int, nbytes: int):
-        yield self._controller.acquire()
+        if not self._controller.acquire_inline():
+            yield self._controller.acquire()
         try:
             busy = self.service_time_ns(direction, nbytes)
             if self._last_direction and self._last_direction != direction:
@@ -107,7 +108,8 @@ class DramController(TimedMemory):
     # variant, where the R/W turnaround contention is the paper's story.
     def timed_read(self, addr: int, nbytes: int, functional: bool = True):
         self.backing._check(addr, nbytes)
-        yield self._controller.acquire()
+        if not self._controller.acquire_inline():
+            yield self._controller.acquire()
         try:
             busy = self._base_ns(nbytes)
             if self._last_direction and self._last_direction != "read":
@@ -133,7 +135,8 @@ class DramController(TimedMemory):
                 raise ValueError(f"nbytes={nbytes} != len(data)={len(arr)}")
             nbytes = len(arr)
         self.backing._check(addr, nbytes)
-        yield self._controller.acquire()
+        if not self._controller.acquire_inline():
+            yield self._controller.acquire()
         try:
             busy = self._base_ns(nbytes)
             if self._last_direction and self._last_direction != "write":

@@ -59,7 +59,8 @@ class HostDram(TimedMemory):
 
     def _service(self, direction: str, addr: int, nbytes: int):
         port = self._ports[direction]
-        yield port.acquire()
+        if not port.acquire_inline():
+            yield port.acquire()
         try:
             yield self.sim.timeout(self._busy_ns(nbytes))
         finally:
@@ -72,7 +73,8 @@ class HostDram(TimedMemory):
     def timed_read(self, addr: int, nbytes: int, functional: bool = True):
         self.backing._check(addr, nbytes)
         port = self._ports["read"]
-        yield port.acquire()
+        if not port.acquire_inline():
+            yield port.acquire()
         try:
             yield self.sim.timeout(self._busy_ns(nbytes))
         finally:
@@ -94,7 +96,8 @@ class HostDram(TimedMemory):
             nbytes = len(arr)
         self.backing._check(addr, nbytes)
         port = self._ports["write"]
-        yield port.acquire()
+        if not port.acquire_inline():
+            yield port.acquire()
         try:
             yield self.sim.timeout(self._busy_ns(nbytes))
         finally:

@@ -51,7 +51,8 @@ class SramMemory(TimedMemory):
 
     def _service(self, direction: str, addr: int, nbytes: int):
         port = self._ports[direction]
-        yield port.acquire()
+        if not port.acquire_inline():
+            yield port.acquire()
         try:
             yield self.sim.timeout(self._busy_ns(nbytes))
         finally:
@@ -64,7 +65,8 @@ class SramMemory(TimedMemory):
     def timed_read(self, addr: int, nbytes: int, functional: bool = True):
         self.backing._check(addr, nbytes)
         port = self._ports["read"]
-        yield port.acquire()
+        if not port.acquire_inline():
+            yield port.acquire()
         try:
             yield self.sim.timeout(self._busy_ns(nbytes))
         finally:
@@ -87,7 +89,8 @@ class SramMemory(TimedMemory):
             nbytes = len(arr)
         self.backing._check(addr, nbytes)
         port = self._ports["write"]
-        yield port.acquire()
+        if not port.acquire_inline():
+            yield port.acquire()
         try:
             yield self.sim.timeout(self._busy_ns(nbytes))
         finally:

@@ -20,8 +20,9 @@ activity over the fabric:
 from __future__ import annotations
 
 import struct
+from collections import deque
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Deque, Dict, List, Optional
 
 import numpy as np
 
@@ -61,6 +62,22 @@ class ControllerStats:
     written_bytes: int = 0
     prp_list_reads: int = 0
     sqe_fetches: int = 0
+
+
+class _WriteCmd:
+    """A write command's pages in flight on the fetch lanes."""
+
+    __slots__ = ("chunks", "remaining", "error", "done")
+
+    def __init__(self, sim: Simulator, npages: int):
+        self.chunks: List[Optional[np.ndarray]] = [None] * npages
+        #: pages not yet programmed
+        self.remaining = npages
+        #: the first failed page fetch's exception
+        self.error: Optional[BaseException] = None
+        #: fires two scheduler slots after the last page is programmed
+        #: (or its fetch failed)
+        self.done = sim.event()
 
 
 class _CqState:
@@ -116,9 +133,12 @@ class NvmeController(BarHandler):
         self._exec_credits = Resource(sim, self.profile.max_outstanding,
                                       name=f"{name}.exec")
         self.enabled = False
-        #: the controller's shallow payload-fetch pipeline (see _exec_write)
-        self._fetch_sem = Resource(sim, self.profile.data_fetch_depth,
-                                   name=f"{name}.fetch")
+        #: the controller's shallow payload-fetch pipeline (see _exec_write):
+        #: up to ``data_fetch_depth`` lanes, the parked ones waiting on
+        #: these events, and the write pages queued for a lane
+        self._lanes = 0
+        self._idle_lanes: Deque[Event] = deque()
+        self._fetch_queue: Deque[tuple] = deque()
         #: fault injection (repro.faults); None = no extra work anywhere
         self._fault_site = None
         self._fault_cfg = None
@@ -230,7 +250,8 @@ class NvmeController(BarHandler):
                 for i in range(batch):
                     sqe = SubmissionEntry.unpack(
                         bytes(raw[i * SQE_BYTES:(i + 1) * SQE_BYTES]))
-                    yield self._exec_credits.acquire()
+                    if not self._exec_credits.acquire_inline():
+                        yield self._exec_credits.acquire()
                     _ = self.sim.process(self._exec(sqe, sq),
                                      name=f"{self.name}.cmd{sqe.cid}")
         except Interrupt:
@@ -420,38 +441,84 @@ class NvmeController(BarHandler):
         # the on-FPGA burst coalescer joins them back to 4 KiB, §4.3) through
         # the controller's shallow fetch pipeline.  The fetch rate is thus
         # depth x 4 KiB / path-RTT — the P2P write-bandwidth limiter.
-        # ``fetch_span_pages > 1`` is the ablation that lifts the limiter by
-        # coalescing contiguous PRP spans into one read each (default 1 keeps
-        # the paper-faithful per-page fetch; _coalesce then yields one run
-        # per page, identical to the uncoalesced loop).
-        runs = self._coalesce(pages, nbytes, self.profile.fetch_span_pages)
-        chunks: List[Optional[np.ndarray]] = [None] * len(runs)
-        jobs = []
-        for idx, (addr, size) in enumerate(runs):
-            jobs.append(self.sim.process(self._fetch_and_program(
-                addr, size, idx, chunks,
-                extra_ns=self.profile.write_cmd_overhead_ns if idx == 0 else 0)))
-        yield self.sim.all_of(jobs)
+        write = _WriteCmd(self.sim, len(pages))
+        self.sim.schedule_call(0, self._queue_fetches, [
+            (write, idx, addr, min(PAGE, nbytes - idx * PAGE))
+            for idx, addr in enumerate(pages)])
+        yield write.done
 
         if self.functional:
-            payload = np.concatenate([c for c in chunks])[:nbytes]
+            payload = np.concatenate(write.chunks)[:nbytes]
             self.namespace.write_blocks(sqe.slba, payload)
         yield from self.backend.write_ack_latency()
         self.stats.writes_completed += 1
         self.stats.written_bytes += nbytes
         return StatusCode.SUCCESS, 0
 
-    def _fetch_and_program(self, addr: int, size: int, idx: int,
-                           chunks: list, extra_ns: int):
-        yield self._fetch_sem.acquire()
-        try:
-            data = yield from self.endpoint.dma_read(
-                addr, size, functional=self.functional)
-        finally:
-            self._fetch_sem.release()
-        if data is not None:
-            chunks[idx] = data
-        yield from self.backend.program_pages(-(-size // PAGE), extra_ns=extra_ns)
+    def _queue_fetches(self, fetches: List[tuple]) -> None:
+        """Give each page a parked or new lane, or queue it for the next free one.
+
+        One zero-delay call per command; a page that finds a lane starts
+        one scheduler slot later (the wake event or the new lane's start).
+        """
+        idle = self._idle_lanes
+        for fetch in fetches:
+            if idle:
+                idle.popleft().succeed(fetch)
+            elif self._lanes < self.profile.data_fetch_depth:
+                self._lanes += 1
+                _ = self.sim.process(self._fetch_lane(fetch),
+                                     name=f"{self.name}.fetch{self._lanes}")
+            else:
+                self._fetch_queue.append(fetch)
+
+    def _fetch_lane(self, fetch: tuple):
+        """One payload-fetch lane: fetch a page, pass it to the program
+        engine, take the next queued page; park when none is queued."""
+        sim = self.sim
+        queue = self._fetch_queue
+        while True:
+            write, idx, addr, size = fetch
+            try:
+                data = yield from self.endpoint.dma_read(
+                    addr, size, functional=self.functional)
+                error = None
+            except Exception as exc:  # fails the command, not the lane
+                data, error = None, exc
+            # The next queued page takes over this lane one scheduler slot
+            # from now, or at once when that slot would run next anyway
+            # (Simulator.grant_runs_next).
+            fetch = queue.popleft() if queue else None
+            handoff = (None if fetch is None or sim.grant_runs_next()
+                       else sim.event().succeed())
+            if error is not None:
+                if write.error is None:
+                    write.error = error
+                    sim.schedule_call(0, self._write_done, write)
+            else:
+                if data is not None:
+                    write.chunks[idx] = data
+                self.backend.program(
+                    1, self.profile.write_cmd_overhead_ns if idx == 0 else 0,
+                    self._page_programmed, write)
+            if fetch is None:
+                wake = sim.event()
+                self._idle_lanes.append(wake)
+                fetch = yield wake
+            elif handoff is not None:
+                yield handoff
+
+    def _page_programmed(self, write: "_WriteCmd") -> None:
+        write.remaining -= 1
+        if write.remaining == 0 and write.error is None:
+            self.sim.schedule_call(0, self._write_done, write)
+
+    @staticmethod
+    def _write_done(write: "_WriteCmd") -> None:
+        if write.error is None:
+            write.done.succeed()
+        else:
+            write.done.fail(write.error)
 
     # ----------------------------------------------------------------- admin
     def _exec_admin(self, sqe: SubmissionEntry):

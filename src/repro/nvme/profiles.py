@@ -66,13 +66,6 @@ class SsdPerfProfile:
     #: the controller's "read accesses ... do not occur frequently enough"
     #: to sustain full write bandwidth into FPGA-resident buffers.
     data_fetch_depth: int = 2
-    #: contiguous PRP pages fetched per write-payload read request.  The
-    #: paper-faithful default of 1 models the MRRS-bounded per-page fetch
-    #: whose rate limits P2P write bandwidth (§6.1); raising it coalesces
-    #: contiguous PRP spans into one DMA read each — an ablation knob for
-    #: "what if the controller issued larger payload reads", NOT the
-    #: measured device behaviour.
-    fetch_span_pages: int = 1
     #: maximum data transfer size per command (MDTS), bytes
     mdts_bytes: int = 2 * 1024 * 1024
     #: pages per simulated batch (event-count control; timing is per page)
@@ -98,8 +91,6 @@ class SsdPerfProfile:
             raise ConfigError("batch_pages must be in [1, 64]")
         if self.data_fetch_depth < 1:
             raise ConfigError("data_fetch_depth must be >= 1")
-        if not 1 <= self.fetch_span_pages <= 64:
-            raise ConfigError("fetch_span_pages must be in [1, 64]")
         if not 0 <= self.rand_read_slow_frac < 1:
             raise ConfigError("rand_read_slow_frac must be in [0, 1)")
         if self.rand_read_slow_mult < 1:

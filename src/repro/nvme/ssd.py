@@ -11,6 +11,9 @@ between a fast and a slow state (the paper's 6.24/5.90 GB/s observation).
 
 from __future__ import annotations
 
+from collections import deque
+from typing import Any, Callable, Deque
+
 import numpy as np
 
 from ..errors import ConfigError
@@ -34,8 +37,10 @@ class SsdBackend:
         self._channel_last_page = [-(10 ** 9)] * profile.n_channels
         #: aggregate streaming pipe for large reads
         self._array = Resource(sim, 1, name="nand.array")
-        #: serialized program engine (write drain)
-        self._program = Resource(sim, 1, name="nand.program")
+        #: serialized program engine (write drain): busy flag and the
+        #: requests waiting behind the one being programmed
+        self._programming = False
+        self._program_queue: Deque[tuple] = deque()
         self.programmed_bytes = 0
         self.read_bytes = 0
         self._rng = np.random.default_rng(profile.rand_seed)
@@ -81,7 +86,8 @@ class SsdBackend:
         """
         ch = self.channel_of(page_index)
         res = self._channels[ch]
-        yield res.acquire()
+        if not res.acquire_inline():
+            yield res.acquire()
         try:
             prof = self.profile
             # A striped continuation (same channel, next stripe line) hits
@@ -109,7 +115,8 @@ class SsdBackend:
         """
         if nbytes <= 0:
             raise ConfigError(f"read_stream of {nbytes} bytes")
-        yield self._array.acquire()
+        if not self._array.acquire_inline():
+            yield self._array.acquire()
         try:
             yield self.sim.timeout(ns_for_bytes(nbytes, self.profile.seq_read_gbps))
         finally:
@@ -121,20 +128,41 @@ class SsdBackend:
         yield self.sim.timeout(self.profile.read_extra_latency_ns)
 
     # -- writes ---------------------------------------------------------------------
-    def program_pages(self, npages: int, extra_ns: int = 0):
-        """Generator: push *npages* through the program engine (in order).
+    def program(self, npages: int, extra_ns: int,
+                done: Callable[[Any], None], arg: Any = None) -> None:
+        """Queue *npages* on the program engine; ``done(arg)`` once programmed.
 
+        The engine programs one request at a time, in arrival order, at the
+        rate of the write phase current when the request starts.
         ``extra_ns`` folds in per-command overhead (allocation, mapping).
+        Driven by scheduled calls rather than a process: an idle engine
+        starts a request one zero-delay call after its arrival, and a busy
+        one starts the next request with a zero-delay call when the
+        current one ends — the grant positions of a FIFO semaphore.
         """
         if npages <= 0:
-            raise ConfigError(f"program_pages of {npages} pages")
-        yield self._program.acquire()
-        try:
-            per_page = ns_for_bytes(PAGE, self.current_write_gbps)
-            yield self.sim.timeout(npages * per_page + extra_ns)
-        finally:
-            self._program.release()
+            raise ConfigError(f"program of {npages} pages")
+        request = (npages, extra_ns, done, arg)
+        if self._programming:
+            self._program_queue.append(request)
+        else:
+            self._programming = True
+            self.sim.schedule_call(0, self._program_start, request)
+
+    def _program_start(self, request) -> None:
+        per_page = ns_for_bytes(PAGE, self.current_write_gbps)
+        self.sim.schedule_call(request[0] * per_page + request[1],
+                               self._program_end, request)
+
+    def _program_end(self, request) -> None:
+        if self._program_queue:
+            self.sim.schedule_call(0, self._program_start,
+                                   self._program_queue.popleft())
+        else:
+            self._programming = False
+        npages, _extra_ns, done, arg = request
         self.programmed_bytes += npages * PAGE
+        done(arg)
 
     def write_ack_latency(self):
         """Generator: cache-acknowledge latency after the last page arrives."""

@@ -165,7 +165,8 @@ class PcieLink:
             # Single-chunk transfer (the overwhelmingly common case for
             # request headers, CQEs, and 4 KiB pages): no loop bookkeeping.
             ns, total_wire = plan
-            yield res.acquire()
+            if not res.acquire_inline():
+                yield res.acquire()
             try:
                 yield self.sim.timeout(ns)
             finally:
@@ -178,7 +179,8 @@ class PcieLink:
         gbps = self.params.raw_gbps
         remaining = total_wire
         while remaining > 0:
-            yield res.acquire()
+            if not res.acquire_inline():
+                yield res.acquire()
             if remaining > chunk and res.queued == 0 \
                     and self._fault_cfg is None:
                 remaining -= yield from self._elastic_span(

@@ -152,7 +152,8 @@ class PcieFabric:
             nreq = requester.link.params.tlp.read_requests(nbytes)
             requester._nreq_cache[nbytes] = nreq
         rlink = requester.link
-        yield requester.read_tags.acquire()
+        if not requester.read_tags.acquire_inline():
+            yield requester.read_tags.acquire()
         try:
             # Request phase: small TLPs up the requester link, through the
             # RC.  Single-chunk transfers inline the serialize sequence
@@ -166,7 +167,8 @@ class PcieFabric:
             else:
                 ns, wire = plan
                 res = rlink._dirs["up"]
-                yield res.acquire()
+                if not res.acquire_inline():
+                    yield res.acquire()
                 try:
                     yield self.sim.timeout(ns)
                 finally:
@@ -197,7 +199,8 @@ class PcieFabric:
                 else:
                     ns, wire = plan
                     res = peer.link._dirs["up"]
-                    yield res.acquire()
+                    if not res.acquire_inline():
+                        yield res.acquire()
                     try:
                         yield self.sim.timeout(ns)
                     finally:
@@ -216,7 +219,8 @@ class PcieFabric:
             else:
                 ns, wire = plan
                 res = rlink._dirs["down"]
-                yield res.acquire()
+                if not res.acquire_inline():
+                    yield res.acquire()
                 try:
                     yield self.sim.timeout(ns)
                 finally:
@@ -251,7 +255,8 @@ class PcieFabric:
         else:
             ns, wire = plan
             res = rlink._dirs["up"]
-            yield res.acquire()
+            if not res.acquire_inline():
+                yield res.acquire()
             try:
                 yield self.sim.timeout(ns)
             finally:
@@ -276,7 +281,8 @@ class PcieFabric:
             else:
                 ns, wire = plan
                 res = peer.link._dirs["down"]
-                yield res.acquire()
+                if not res.acquire_inline():
+                    yield res.acquire()
                 try:
                     yield self.sim.timeout(ns)
                 finally:

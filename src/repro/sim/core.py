@@ -583,6 +583,11 @@ class CheckpointInfo(NamedTuple):
 #: The ``stop`` event of unconditional drains (``run``, ``quiesce``): it
 #: belongs to no simulator, so nothing can ever trigger it.
 _NEVER = Event(None)  # type: ignore[arg-type]
+#: ``Simulator._stop`` outside a drain, and while callbacks of the event
+#: being dispatched are still to run: already triggered, so
+#: :meth:`Simulator.grant_runs_next` declines.
+_HALTED = Event(None)  # type: ignore[arg-type]
+_HALTED._value = None
 #: The ``until`` bound of unbounded drains: later than any timestamp.
 _FOREVER = float("inf")
 
@@ -601,6 +606,9 @@ class Simulator:
         #: order.
         self._times: List[Tuple[int, int, Event]] = []
         self._crashed: List[Tuple[Process, BaseException]] = []
+        #: the running drain's ``stop`` event; a triggered stand-in
+        #: (``_HALTED``) whenever an inline grant could jump the queue
+        self._stop: Event = _HALTED
 
     @property
     def now(self) -> int:
@@ -706,6 +714,20 @@ class Simulator:
         return Condition(self, events, mode="any")
 
     # -- scheduling ---------------------------------------------------------
+    def grant_runs_next(self) -> bool:
+        """True when an event scheduled now would be the next one dispatched.
+
+        The exact-inline rule (DESIGN.md §5.3).  It holds inside a drain
+        whose ``stop`` has not fired, while the ready deque is empty and
+        no callback of the event being dispatched is still to run.  A
+        zero-delay event appended now would then be popped before anything
+        else runs, so a process may take what that event would deliver
+        synchronously and continue: the interleaving is unchanged and only
+        ``_seq`` differs.  :meth:`repro.sim.resources.Resource.
+        acquire_inline` is its main user.
+        """
+        return not self._ready and self._stop._value is _PENDING
+
     def _schedule(self, event: Event, delay: int = 0) -> None:
         self._seq += 1
         if delay:
@@ -774,10 +796,16 @@ class Simulator:
 
         Processes events until *stop* triggers, the queue drains, or the
         next event lies later than *until* (an event exactly at *until*
-        is processed; an *until* before ``now`` returns at once).  Leaf ``Event``/``Timeout``/``_Call`` processing is inlined and dead
+        is processed; an *until* before ``now`` returns at once).  Leaf
+        ``Event``/``Timeout``/``_Call`` processing is inlined and dead
         leaves are recycled into the freelists (this loop is the single
         hottest code in the simulator).  Never moves the clock past the
         last processed event; the public wrappers own the clock policy.
+
+        *stop* is recorded as ``_stop`` for :meth:`grant_runs_next`, and
+        swapped for the triggered ``_HALTED`` while an event with extra
+        callbacks is dispatched: those callbacks run after its waiter
+        resumes, so a grant scheduled by the waiter would not run next.
         """
         if until < self._now:
             return
@@ -789,78 +817,99 @@ class Simulator:
         tpool = _TIMEOUT_POOL
         epool = _EVENT_POOL
         cpool = _CALL_POOL
-        # `while True` + break, not `while <stop pending>`: CPython 3.11
-        # only warms a loop up for specialization on an unconditional
-        # back-edge, and this loop left unspecialized runs ~25% slower.
-        while True:
-            if stop._value is not _PENDING:
-                break
-            if ready:
-                event = popleft()
-            elif times:
-                when = times[0][0]
-                if when > until:
+        outer = self._stop
+        self._stop = stop
+        try:
+            # `while True` + break, not `while <stop pending>`: CPython
+            # 3.11 only warms a loop up for specialization on an
+            # unconditional back-edge, and this loop left unspecialized
+            # runs ~25% slower.
+            while True:
+                if stop._value is not _PENDING:
                     break
-                # indexing the popped tuple drops its event reference, so
-                # the freelist recycle below still sees refcount 2
-                event = heappop(times)[2]
-                self._now = when
-                # the rest of this timestamp moves to ready now, so a
-                # delay-0 event scheduled while processing `event` lands
-                # after its same-timestamp peers (global-heap order)
-                while times and times[0][0] == when:
-                    append_ready(heappop(times)[2])
-            else:
-                break
-            cls = event.__class__
-            if cls is _Call:
-                # Deferred-call leaf: no waiter/callbacks by construction,
-                # so skip the virtual dispatch and recycle the corpse like
-                # the Timeout path below.
-                event._processed = True
-                event.fn(event.arg)
-                if getrefcount(event) == 2:
-                    event.sim = None  # type: ignore[assignment]
-                    event.fn = None  # type: ignore[assignment]
-                    event.arg = None
-                    if len(cpool) < _POOL_CAP:
-                        cpool.append(event)  # type: ignore[arg-type]
-            elif cls is Timeout or cls is Event:
-                if event._value is _PENDING:
-                    # only a pending Timeout reaches the queue untriggered
-                    event._value = event._timeout_value  # type: ignore[attr-defined]
-                event._processed = True
-                waiter = event._waiter
-                if waiter is not None:
-                    event._waiter = None
-                    waiter._resume(event)
-                callbacks = event._callbacks
-                if callbacks is not None:
-                    event._callbacks = None
-                    for fn in callbacks:
-                        fn(event)
-                # Freelist recycle: refcount 2 == the loop local plus
-                # getrefcount's own argument, i.e. nobody else holds the
-                # event — safe to intern (waiter/callbacks are already
-                # None on this path).
-                if getrefcount(event) == 2:
-                    event.sim = None  # type: ignore[assignment]
-                    event._value = None
-                    event._exc = None
-                    if cls is Timeout:
-                        event._timeout_value = None  # type: ignore[attr-defined]
-                        if len(tpool) < _POOL_CAP:
-                            tpool.append(event)  # type: ignore[arg-type]
-                    elif len(epool) < _POOL_CAP:
-                        epool.append(event)
-            else:
-                # Only Process._process_callbacks can append to _crashed,
-                # and Process events take this branch — the leaf paths
-                # above cannot grow the crash list.
-                event._before_process()
-                event._process_callbacks()
-                if crashed:
-                    self._raise_crash()
+                if ready:
+                    event = popleft()
+                elif times:
+                    when = times[0][0]
+                    if when > until:
+                        break
+                    # indexing the popped tuple drops its event reference,
+                    # so the freelist recycle below still sees refcount 2
+                    event = heappop(times)[2]
+                    self._now = when
+                    # the rest of this timestamp moves to ready now, so a
+                    # delay-0 event scheduled while processing `event`
+                    # lands after its same-timestamp peers (global-heap
+                    # order)
+                    while times and times[0][0] == when:
+                        append_ready(heappop(times)[2])
+                else:
+                    break
+                cls = event.__class__
+                if cls is _Call:
+                    # Deferred-call leaf: no waiter/callbacks by
+                    # construction, so skip the virtual dispatch and
+                    # recycle the corpse like the Timeout path below.
+                    event._processed = True
+                    event.fn(event.arg)
+                    if getrefcount(event) == 2:
+                        event.sim = None  # type: ignore[assignment]
+                        event.fn = None  # type: ignore[assignment]
+                        event.arg = None
+                        if len(cpool) < _POOL_CAP:
+                            cpool.append(event)  # type: ignore[arg-type]
+                elif cls is Timeout or cls is Event:
+                    if event._value is _PENDING:
+                        # only a pending Timeout reaches the queue
+                        # untriggered
+                        event._value = event._timeout_value  # type: ignore[attr-defined]
+                    event._processed = True
+                    waiter = event._waiter
+                    # read before the resume: a processed event runs late
+                    # registrations at once, so the list cannot grow
+                    callbacks = event._callbacks
+                    if callbacks is None:
+                        if waiter is not None:
+                            event._waiter = None
+                            waiter._resume(event)
+                    else:
+                        event._callbacks = None
+                        self._stop = _HALTED
+                        if waiter is not None:
+                            event._waiter = None
+                            waiter._resume(event)
+                        for fn in callbacks:
+                            fn(event)
+                        self._stop = stop
+                    # Freelist recycle: refcount 2 == the loop local plus
+                    # getrefcount's own argument, i.e. nobody else holds
+                    # the event — safe to intern (waiter/callbacks are
+                    # already None on this path).
+                    if getrefcount(event) == 2:
+                        event.sim = None  # type: ignore[assignment]
+                        event._value = None
+                        event._exc = None
+                        if cls is Timeout:
+                            event._timeout_value = None  # type: ignore[attr-defined]
+                            if len(tpool) < _POOL_CAP:
+                                tpool.append(event)  # type: ignore[arg-type]
+                        elif len(epool) < _POOL_CAP:
+                            epool.append(event)
+                else:
+                    # Only Process._process_callbacks can append to
+                    # _crashed, and Process events take this branch — the
+                    # leaf paths above cannot grow the crash list.
+                    event._before_process()
+                    if event._callbacks is None:
+                        event._process_callbacks()
+                    else:
+                        self._stop = _HALTED
+                        event._process_callbacks()
+                        self._stop = stop
+                    if crashed:
+                        self._raise_crash()
+        finally:
+            self._stop = outer
 
     def run_process(self, gen: Generator, until: Optional[int] = None) -> Any:
         """Convenience: run *gen* as a process to completion, return its value.

@@ -158,7 +158,8 @@ class Resource:
         keep their sequence-number position relative to every other event
         at the same timestamp.  A fully synchronous grant would resume the
         caller ahead of already-scheduled same-timestamp events and change
-        the deterministic interleaving (DESIGN.md §5).
+        the deterministic interleaving (DESIGN.md §5) — except when
+        nothing could run in between, which :meth:`acquire_inline` checks.
         """
         sim = self.sim
         if self._in_use < self.capacity:
@@ -176,6 +177,24 @@ class Resource:
             self._contention_fn = None
             fn()
         return ev
+
+    def acquire_inline(self) -> bool:
+        """Take a free slot synchronously when its grant would run next.
+
+        The exact sibling of :meth:`try_acquire`.  It succeeds only when
+        :meth:`Simulator.grant_runs_next` holds: the grant that
+        :meth:`acquire` would schedule is then the very next event the
+        kernel dispatches, so skipping it resumes the caller at the same
+        point of the same-timestamp order, and only the kernel's sequence
+        counter differs.  Otherwise it takes nothing and returns False::
+
+            if not resource.acquire_inline():
+                yield resource.acquire()
+        """
+        if self._in_use < self.capacity and self.sim.grant_runs_next():
+            self._in_use += 1
+            return True
+        return False
 
     def try_acquire(self) -> bool:
         """Take a free slot synchronously; False when none is free.

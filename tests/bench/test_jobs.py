@@ -140,7 +140,8 @@ class TestCoarseningPlan:
         for stage in plan:
             for spec in stage.jobs:
                 kwargs = spec.kwargs_dict()
-                if stage.experiment in ("case_study", "fleet"):
+                if stage.experiment in ("case_study", "ablation_fc",
+                                        "fleet"):
                     assert kwargs["coarsening"] == "per_frame", spec.label
                 else:
                     assert "coarsening" not in kwargs, spec.label

@@ -57,6 +57,23 @@ class TestMainRuns:
         assert "0 cache hit(s)" in first.err
         assert "0 job(s) simulated" in second.err
         assert "3 cache hit(s)" in second.err
+        # stage seconds cover simulated jobs only, and never reach stdout
+        assert "stage Table 1:" in first.err and "serial total:" in first.err
+        assert "stage " not in second.err and "serial total" not in first.out
+
+    def test_stage_seconds_follow_the_job_lines(self, capsys):
+        assert main(["--quick", "--only", "table1", "--only", "fig4c",
+                     "--jobs", "1", "--no-cache"]) == 0
+        err = capsys.readouterr().err.splitlines()
+        stages = [line for line in err if line.startswith("  stage ")]
+        assert [line.split(":")[0] for line in stages] == [
+            "  stage Table 1", "  stage Fig 4c"]
+        assert err.index(stages[0]) > max(
+            i for i, line in enumerate(err) if "ran in" in line)
+        seconds = [float(line.split()[-1].rstrip("s")) for line in stages]
+        total = next(line for line in err if "serial total:" in line)
+        assert float(total.split()[-1].rstrip("s")) == pytest.approx(
+            sum(seconds), abs=0.11)
 
     def test_no_cache_leaves_no_cache_dir(self, capsys, tmp_path):
         cache_dir = tmp_path / "cache"
@@ -99,7 +116,8 @@ class TestCoarseningFlag:
 
     def test_modes_share_non_fleet_cache_keys(self, capsys, tmp_path):
         # both modes over one cache: the second run may only re-simulate
-        # the fleet jobs (coarsening is part of the fleet cache key only)
+        # the MAC jobs (coarsening is part of the case-study, A7 and fleet
+        # cache keys only)
         cache = str(tmp_path / "cache")
         argv = ["--quick", "--only", "table1", "--jobs", "1",
                 "--cache-dir", cache]

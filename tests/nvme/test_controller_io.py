@@ -152,41 +152,11 @@ class TestTiming:
         assert system.cpu.utilization() > 0.99
 
 
-class TestFetchSpanCoalescing:
-    """``fetch_span_pages > 1``: the ablation knob that fetches contiguous
-    PRP spans as one DMA read each instead of the paper-faithful per-page
-    MRRS-bounded fetch (the P2P write-bandwidth limiter, DESIGN.md §5)."""
+class TestCoalesce:
+    """``NvmeController._coalesce``: the read path groups contiguous PRP
+    pages into runs of up to ``batch_pages``."""
 
-    NBYTES = 64 * KiB
-
-    def _run_write(self, span_pages, rng):
-        from dataclasses import replace
-
-        from repro.sim import Simulator
-
-        sim = Simulator()
-        cfg = HostSystemConfig()
-        cfg = cfg.with_profile(replace(cfg.ssd.profile,
-                                       fetch_span_pages=span_pages))
-        system = build_host_system(sim, cfg)
-        drv = system.spdk_driver()
-        sim.run_process(drv.initialize())
-        data = rng.integers(0, 256, self.NBYTES, dtype=np.uint8)
-        buf = drv.alloc_buffer(self.NBYTES)
-        off = buf.chunks[0].base - 0x10_0000_0000
-        system.host_mem.write(off, data)
-        t0 = sim.now
-        sim.run_process(drv.write(slba=0, nbytes=self.NBYTES, buffer=buf))
-        elapsed = sim.now - t0
-        return elapsed, data, system
-
-    def test_span_fetch_preserves_data(self, rng):
-        _, data, system = self._run_write(8, rng)
-        lba_bytes = system.ssd.namespace.lba_bytes
-        stored = system.ssd.namespace.read_blocks(0, self.NBYTES // lba_bytes)
-        assert np.array_equal(stored, data)
-
-    def test_span_fetch_coalesces_contiguous_prp_runs(self):
+    def test_coalesces_contiguous_prp_runs(self):
         from repro.nvme.controller import NvmeController
         from repro.units import PAGE
 
@@ -196,7 +166,7 @@ class TestFetchSpanCoalescing:
         assert per_page == [(0x8000 + i * PAGE, PAGE) for i in range(16)]
         assert spanned == [(0x8000, 8 * PAGE), (0x8000 + 8 * PAGE, 8 * PAGE)]
 
-    def test_span_fetch_breaks_runs_at_discontiguities_and_tail(self):
+    def test_breaks_runs_at_discontiguities_and_tail(self):
         from repro.nvme.controller import NvmeController
         from repro.units import PAGE
 
@@ -204,29 +174,3 @@ class TestFetchSpanCoalescing:
         pages = [0x0, PAGE, 0x9000]
         runs = NvmeController._coalesce(pages, 2 * PAGE + 1024, 8)
         assert runs == [(0x0, 2 * PAGE), (0x9000, 1024)]
-
-    def test_span_fetch_changes_fetch_schedule_but_not_payload(self, rng):
-        # The knob trades per-transaction overhead against fetch/program
-        # overlap, so elapsed time must *differ*; the stored bytes must not.
-        per_page, data1, sys1 = self._run_write(1, rng)
-        spanned, data2, sys2 = self._run_write(8, rng)
-        assert spanned != per_page
-        lba = sys1.ssd.namespace.lba_bytes
-        stored1 = sys1.ssd.namespace.read_blocks(0, self.NBYTES // lba)
-        stored2 = sys2.ssd.namespace.read_blocks(0, self.NBYTES // lba)
-        assert np.array_equal(stored1, data1)
-        assert np.array_equal(stored2, data2)
-
-    def test_default_profile_is_per_page(self):
-        assert HostSystemConfig().ssd.profile.fetch_span_pages == 1
-
-    def test_out_of_range_span_rejected(self):
-        from dataclasses import replace
-
-        from repro.errors import ConfigError
-
-        profile = HostSystemConfig().ssd.profile
-        with pytest.raises(ConfigError):
-            replace(profile, fetch_span_pages=0).validate()
-        with pytest.raises(ConfigError):
-            replace(profile, fetch_span_pages=65).validate()

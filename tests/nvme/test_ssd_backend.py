@@ -4,7 +4,7 @@ import pytest
 
 from repro.errors import ConfigError
 from repro.nvme import SAMSUNG_990_PRO_LIKE, SsdBackend, SsdPerfProfile
-from repro.units import GiB, MiB, PAGE
+from repro.units import GiB, MiB, PAGE, ns_for_bytes
 
 
 @pytest.fixture
@@ -20,13 +20,11 @@ class TestWritePhases:
 
     def test_phase_toggles_by_programmed_volume(self, sim, backend):
         period = backend.profile.write_phase_period_bytes
-
-        def program(nbytes):
-            yield from backend.program_pages(nbytes // PAGE)
-
-        sim.run_process(program(period))
+        backend.program(period // PAGE, 0, lambda _arg: None)
+        sim.run()
         assert backend.write_phase == 1
-        sim.run_process(program(period))
+        backend.program(period // PAGE, 0, lambda _arg: None)
+        sim.run()
         assert backend.write_phase == 0
 
     def test_advance_skips_to_next_phase(self, backend):
@@ -36,15 +34,29 @@ class TestWritePhases:
         assert backend.write_phase == 0
 
     def test_program_rate_matches_phase(self, sim, backend):
-        n = (64 * MiB) // PAGE
-
-        def body():
-            yield from backend.program_pages(n)
-
-        sim.run_process(body())
+        done = []
+        backend.program((64 * MiB) // PAGE, 0, done.append, "programmed")
+        sim.run()
+        assert done == ["programmed"]
         achieved = 64 * MiB / sim.now
         assert achieved == pytest.approx(
             SAMSUNG_990_PRO_LIKE.write_phase_a_gbps, rel=0.01)
+
+    def test_program_serves_requests_in_arrival_order(self, sim, backend):
+        """One request at a time: each starts when the previous one ends,
+        at the rate of the phase current at its start."""
+        per_page = ns_for_bytes(PAGE, backend.current_write_gbps)
+        finished = []
+        for name, npages, extra_ns in (("a", 2, 100), ("b", 1, 0),
+                                       ("c", 3, 7)):
+            backend.program(npages, extra_ns,
+                            lambda arg: finished.append((arg, sim.now)),
+                            name)
+        sim.run()
+        assert finished == [("a", 2 * per_page + 100),
+                            ("b", 3 * per_page + 100),
+                            ("c", 6 * per_page + 107)]
+        assert backend.programmed_bytes == 6 * PAGE
 
 
 class TestReadPaths:
@@ -94,7 +106,6 @@ class TestReadPaths:
             return sim.now - t0
 
         dt = sim.run_process(body())
-        from repro.units import ns_for_bytes
         assert dt == ns_for_bytes(PAGE * ch,
                                   backend.profile.seq_read_gbps)
 
@@ -113,6 +124,6 @@ class TestValidation:
 
     def test_zero_page_ops_rejected(self, sim, backend):
         with pytest.raises(ConfigError):
-            sim.run_process(backend.program_pages(0))
+            backend.program(0, 0, lambda _arg: None)
         with pytest.raises(ConfigError):
             sim.run_process(backend.read_stream(0))

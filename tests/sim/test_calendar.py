@@ -12,6 +12,11 @@ exactly.
 Each worker owns a private seeded ``random.Random``, so its *behaviour*
 is a pure function of its seed; the shared log then captures the
 kernel's interleaving decisions and nothing else.
+
+The ``inline`` variant acquires through ``Resource.acquire_inline``.  The
+exact-inline rule never fires on the reference (its ready stand-in is
+always truthy), so matching logs and clocks show that taking a grant
+inline never changes the interleaving; only the sequence count differs.
 """
 
 import random
@@ -68,13 +73,14 @@ KERNELS = pytest.mark.parametrize("sim_cls", (Simulator, HeapSimulator),
                                   ids=("calendar", "heap"))
 
 
-def _worker(sim, res, store, log, rng, ident):
+def _worker(sim, res, store, log, rng, ident, inline):
     for step in range(N_STEPS):
         value = yield sim.timeout(rng.choice(DELAYS), value=(ident, step))
         log.append(("timeout", sim.now, ident, value))
         roll = rng.random()
         if roll < 0.4:
-            yield res.acquire()
+            if not (inline and res.acquire_inline()):
+                yield res.acquire()
             try:
                 yield sim.timeout(rng.choice(DELAYS))
             finally:
@@ -88,9 +94,12 @@ def _worker(sim, res, store, log, rng, ident):
             log.append(("get", sim.now, ident, item))
 
 
-def _run(sim_cls, seed, until=None, stop_at=None):
+def _run(sim_cls, seed, until=None, stop_at=None, inline=False):
     """One seeded workload; with *stop_at*, first ``run_until`` that
-    worker finishes (bounded by *until*) and ``quiesce``, then resume."""
+    worker finishes (bounded by *until*) and ``quiesce``, then resume.
+
+    Returns ``(log, marks, now, seq)``; each mark is ``(log length,
+    now, seq)``."""
     sim = sim_cls()
     res = Resource(sim, capacity=3)
     store = Store(sim, capacity=4)
@@ -98,14 +107,30 @@ def _run(sim_cls, seed, until=None, stop_at=None):
     procs = []
     for ident in range(N_WORKERS):
         rng = random.Random(seed * 1009 + ident)
-        procs.append(sim.process(_worker(sim, res, store, log, rng, ident)))
+        procs.append(sim.process(
+            _worker(sim, res, store, log, rng, ident, inline)))
     marks = []
     if stop_at is not None:
         sim.run_until(procs[stop_at], until=until)
         marks.append((len(log), sim.now, sim._seq))
-        marks.append((len(log), sim.quiesce()))
+        info = sim.quiesce()
+        marks.append((len(log), info.now, info.events))
     sim.run(until=until)
     return log, marks, sim.now, sim._seq
+
+
+def _assert_inline_matches_heap(seed, until=None, stop_at=None):
+    """The inline variant against the reference: same log, marks and
+    clock.  Returns how many scheduled grants the calendar kernel
+    skipped by taking them inline."""
+    log, marks, now, seq = _run(Simulator, seed, until, stop_at, inline=True)
+    ref_log, ref_marks, ref_now, ref_seq = _run(HeapSimulator, seed, until,
+                                                stop_at, inline=True)
+    assert log == ref_log
+    assert [m[:2] for m in marks] == [m[:2] for m in ref_marks]
+    assert now == ref_now
+    assert seq <= ref_seq
+    return ref_seq - seq
 
 
 def test_oracle_schedules_everything_on_one_heap():
@@ -144,6 +169,83 @@ def test_run_until_and_quiesce_equivalence(seed):
             heap = _run(HeapSimulator, seed, until=until, stop_at=stop_at)
             assert calendar == heap, (
                 f"diverged with stop_at={stop_at}, until={until}")
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_inline_grants_full_run_equivalence(seed):
+    assert _assert_inline_matches_heap(seed) > 0, "no grant was inlined"
+
+
+@pytest.mark.parametrize("seed", (0, 3))
+def test_inline_grants_bounded_run_equivalence(seed):
+    for until in (0, 1, 500, 10_000, 2_000_000):
+        _assert_inline_matches_heap(seed, until=until)
+
+
+@pytest.mark.parametrize("seed", (1, 4))
+def test_inline_grants_run_until_and_quiesce_equivalence(seed):
+    for stop_at in (0, N_WORKERS - 1):
+        for until in (None, 0, 500, 10_000, 2_000_000):
+            _assert_inline_matches_heap(seed, until=until, stop_at=stop_at)
+
+
+def test_heap_reference_never_inlines():
+    # the reference's ready stand-in is always truthy, so the rule never
+    # fires there and its sequence count is the scheduled-grant count
+    assert _run(HeapSimulator, 2, inline=True)[3] == _run(HeapSimulator, 2)[3]
+
+
+@pytest.mark.parametrize("extra_callback", (False, True))
+def test_inline_grant_declines_while_a_callback_is_pending(extra_callback):
+    """A waiter resumed ahead of its event's other callbacks must not
+    take a grant inline: those callbacks run before the grant would."""
+    sim = Simulator()
+    res = Resource(sim, capacity=1)
+    ev = sim.event()
+    got = []
+
+    def waiter():
+        yield ev
+        got.append(res.acquire_inline())
+
+    _ = sim.process(waiter())
+    sim.run()  # the waiter now holds the event's waiter slot
+    if extra_callback:
+        ev.add_callback(lambda _ev: got.append("callback"))
+    sim.schedule_call(5, lambda _arg: ev.succeed())
+    sim.run()
+    assert got == ([False, "callback"] if extra_callback else [True])
+    assert res.in_use == (0 if extra_callback else 1)
+
+
+@pytest.mark.parametrize("stop_fires", (False, True))
+def test_inline_grant_declines_once_the_stop_event_fired(stop_fires):
+    """A process resumed by ``run_until``'s own stop event runs last in
+    that drain, so a grant it would schedule runs only after the return."""
+    sim = Simulator()
+    res = Resource(sim, capacity=1)
+    stop = sim.timeout(5)
+    got = []
+
+    def waiter():
+        yield stop
+        got.append(res.acquire_inline())
+
+    _ = sim.process(waiter())
+    if stop_fires:
+        sim.run_until(stop)
+    else:
+        sim.run()
+    assert got == [not stop_fires]
+
+
+def test_inline_grant_declines_outside_a_drain():
+    sim = Simulator()
+    res = Resource(sim, capacity=1)
+    assert not res.acquire_inline()
+    sim.run()
+    assert not res.acquire_inline()
+    assert res.in_use == 0
 
 
 @KERNELS
