@@ -27,14 +27,14 @@ echo "== snacclint (python -m repro.analysis) =="
 # rules SIM006-SIM010, fanned over 4 workers with the incremental cache.
 # Emits the machine-readable findings artifact (snacclint.json) and
 # enforces the suppression-debt ratchet against the checked-in baseline.
-python -m repro.analysis src tests benchmarks examples scripts \
+python -m repro.analysis src tests examples scripts \
     --jobs 4 \
     --output snacclint.json \
     --baseline snacclint_baseline.json || status=1
 
 echo "== ruff =="
 if python -m ruff --version >/dev/null 2>&1; then
-    python -m ruff check src tests benchmarks examples scripts || status=1
+    python -m ruff check src tests examples scripts || status=1
 else
     echo "skipped (ruff not installed; pip install -e '.[lint]')"
 fi
@@ -51,10 +51,15 @@ python -m repro.faults || status=1
 
 echo "== fault ablation (tiny) =="
 python - <<'EOF' || status=1
-from repro.bench.experiments.fault_tolerance import ablation_fault_rate
+from repro.bench.experiments.fault_tolerance import ablation_fault_rate_point
+from repro.bench.runner import ExperimentResult
 from repro.units import MiB
-result = ablation_fault_rate(rand_bytes=1 * MiB, seq_bytes=2 * MiB,
-                             rates=(0.0, 0.05))
+result = ExperimentResult(
+    "ablation_faults",
+    "delivered read bandwidth + recovery vs injected fault rate")
+for rate in (0.0, 0.05):
+    result.rows.extend(ablation_fault_rate_point(rate, rand_bytes=1 * MiB,
+                                                 seq_bytes=2 * MiB))
 print(result.render())
 EOF
 

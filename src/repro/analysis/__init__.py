@@ -10,7 +10,7 @@ from per-module summaries (:mod:`repro.analysis.program`), cached
 incrementally by content hash (:mod:`repro.analysis.incremental`).
 Run it as::
 
-    python -m repro.analysis src tests benchmarks examples \
+    python -m repro.analysis src tests examples scripts \
         [--format json] [--jobs N] [--baseline snacclint_baseline.json]
 
 See :mod:`repro.analysis.engine` for the machinery and

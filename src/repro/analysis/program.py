@@ -81,7 +81,7 @@ _MUTABLE_FACTORIES = frozenset({
 })
 
 #: top-level directories that name modules when no ``src/`` root applies.
-_ROOT_DIRS = frozenset({"tests", "benchmarks", "examples", "scripts"})
+_ROOT_DIRS = frozenset({"tests", "examples", "scripts"})
 
 #: name suffix → unit tag (SIM010).  Exact-name tags cover the handful of
 #: untagged-but-unambiguous spellings used throughout the tree.

@@ -36,12 +36,9 @@ from ...sim.core import Simulator
 from ...spdk.bench import SpdkPerf
 from ...systems import HostSystemConfig, build_host_system
 from ...units import KiB, MiB
-from ..runner import ExperimentResult, ExperimentRow
+from ..runner import ExperimentRow
 
-__all__ = ["ablation_queue_depth", "ablation_ooo", "ablation_gen5",
-           "ablation_multi_ssd", "ablation_burst_coalescing",
-           "ablation_flow_control", "ablation_buffer_size", "ablation_hbm",
-           "ablation_queue_depth_point", "ablation_ooo_point",
+__all__ = ["ablation_queue_depth_point", "ablation_ooo_point",
            "ablation_gen5_point", "ablation_multi_ssd_point",
            "ablation_burst_point", "ablation_flow_control_point",
            "ablation_buffer_size_point", "ablation_hbm_point",
@@ -90,15 +87,6 @@ def ablation_queue_depth_point(qd: int,
     return rows
 
 
-def ablation_queue_depth(total_bytes: int = 24 * MiB,
-                         depths: tuple = (16, 64, 256)) -> ExperimentResult:
-    """A1: random-read bandwidth vs queue depth, SPDK and SNAcc."""
-    result = ExperimentResult("ablation_qd", ABLATION_TITLES["ablation_qd"])
-    for qd in depths:
-        result.rows.extend(ablation_queue_depth_point(qd, total_bytes))
-    return result
-
-
 def ablation_ooo_point(policy: str, total_bytes: int) -> List[ExperimentRow]:
     """A2, one retirement policy ('in_order' or 'out_of_order')."""
     cfg = replace(default_config_for(StreamerVariant.URAM),
@@ -106,14 +94,6 @@ def ablation_ooo_point(policy: str, total_bytes: int) -> List[ExperimentRow]:
     sim, _system, perf = _snacc(streamer_config=cfg)
     run = sim.run_process(perf.rand_read(total_bytes))
     return [ExperimentRow("rand_read", policy, run.gbps, "GB/s")]
-
-
-def ablation_ooo(total_bytes: int = 24 * MiB) -> ExperimentResult:
-    """A2: in-order vs out-of-order retirement on random reads."""
-    result = ExperimentResult("ablation_ooo", ABLATION_TITLES["ablation_ooo"])
-    for policy in ("in_order", "out_of_order"):
-        result.rows.extend(ablation_ooo_point(policy, total_bytes))
-    return result
 
 
 def ablation_gen5_point(generation: str, kind: str,
@@ -131,16 +111,6 @@ def ablation_gen5_point(generation: str, kind: str,
                                 host_config=host_cfg)
     run = sim.run_process(getattr(perf, kind)(transfer_bytes))
     return [ExperimentRow(kind, generation, run.gbps, "GB/s")]
-
-
-def ablation_gen5(transfer_bytes: int = 256 * MiB) -> ExperimentResult:
-    """A3: the same streamer against a Gen5 x4 drive."""
-    result = ExperimentResult("ablation_gen5", ABLATION_TITLES["ablation_gen5"])
-    for generation in ("gen4", "gen5"):
-        for kind in ("seq_read", "seq_write"):
-            result.rows.extend(
-                ablation_gen5_point(generation, kind, transfer_bytes))
-    return result
 
 
 def _build_multi_ssd(sim: Simulator, n: int, variant: StreamerVariant):
@@ -202,16 +172,6 @@ def ablation_multi_ssd_point(n: int,
     return [ExperimentRow("aggregate_seq_write", f"{n}_ssd", agg, "GB/s")]
 
 
-def ablation_multi_ssd(n_ssds: int = 2,
-                       transfer_bytes: int = 128 * MiB) -> ExperimentResult:
-    """A4: one streamer per SSD, concurrent sequential writes aggregate."""
-    result = ExperimentResult("ablation_multi_ssd",
-                              ABLATION_TITLES["ablation_multi_ssd"])
-    for n in (1, n_ssds):
-        result.rows.extend(ablation_multi_ssd_point(n, transfer_bytes))
-    return result
-
-
 #: A6 buffer-memory labels -> streamer variants (sweep axis of the HBM
 #: ablation; labels are the JobSpec-visible names).
 HBM_MEMORIES = {"shared_dram_ctrl": StreamerVariant.ONBOARD_DRAM,
@@ -220,27 +180,17 @@ HBM_MEMORIES = {"shared_dram_ctrl": StreamerVariant.ONBOARD_DRAM,
 
 def ablation_hbm_point(memory: str, n_ssds: int,
                        transfer_bytes: int) -> List[ExperimentRow]:
-    """A6, one buffer-memory organisation (key into HBM_MEMORIES)."""
-    sim = Simulator()
-    ports = _build_multi_ssd(sim, n_ssds, HBM_MEMORIES[memory])
-    agg = _aggregate_seq_write(sim, ports, transfer_bytes)
-    return [ExperimentRow("aggregate_seq_write", memory, agg, "GB/s")]
-
-
-def ablation_hbm(n_ssds: int = 2,
-                 transfer_bytes: int = 96 * MiB) -> ExperimentResult:
-    """A6/HBM (§7): buffer memory becomes the multi-SSD bottleneck.
+    """A6, one buffer-memory organisation (key into HBM_MEMORIES).
 
     With two drives behind one FPGA, on-board-DRAM buffers share the single
     TaPaSCo memory controller — exactly the contention §7 predicts: "memory
     will become a bottleneck in multi-SSD setups".  Independent on-die
     banks (URAM here, HBM pseudo-channels on the U280) restore scaling.
     """
-    result = ExperimentResult(
-        "ablation_hbm", ABLATION_TITLES["ablation_hbm"])
-    for memory in HBM_MEMORIES:
-        result.rows.extend(ablation_hbm_point(memory, n_ssds, transfer_bytes))
-    return result
+    sim = Simulator()
+    ports = _build_multi_ssd(sim, n_ssds, HBM_MEMORIES[memory])
+    agg = _aggregate_seq_write(sim, ports, transfer_bytes)
+    return [ExperimentRow("aggregate_seq_write", memory, agg, "GB/s")]
 
 
 #: A5 labels -> DRAM burst sizes.
@@ -256,15 +206,6 @@ def ablation_burst_point(burst_label: str,
                                 streamer_config=cfg)
     run = sim.run_process(perf.seq_write(transfer_bytes))
     return [ExperimentRow("seq_write", burst_label, run.gbps, "GB/s")]
-
-
-def ablation_burst_coalescing(transfer_bytes: int = 128 * MiB
-                              ) -> ExperimentResult:
-    """A5: on-board DRAM write bandwidth with and without 4 KiB coalescing."""
-    result = ExperimentResult("ablation_burst", ABLATION_TITLES["ablation_burst"])
-    for burst_label in BURST_SIZES:
-        result.rows.extend(ablation_burst_point(burst_label, transfer_bytes))
-    return result
 
 
 def ablation_flow_control_point(fc_label: str, n_frames: int,
@@ -302,14 +243,6 @@ def ablation_flow_control_point(fc_label: str, n_frames: int,
                           received[0], "frames")]
 
 
-def ablation_flow_control(n_frames: int = 400) -> ExperimentResult:
-    """A7: a slow consumer with and without 802.3 pause."""
-    result = ExperimentResult("ablation_fc", ABLATION_TITLES["ablation_fc"])
-    for fc_label in ("flow_control_on", "flow_control_off"):
-        result.rows.extend(ablation_flow_control_point(fc_label, n_frames))
-    return result
-
-
 def ablation_buffer_size_point(mib: int,
                                transfer_bytes: int) -> List[ExperimentRow]:
     """A8, one URAM buffer size."""
@@ -318,11 +251,3 @@ def ablation_buffer_size_point(mib: int,
     sim, _system, perf = _snacc(streamer_config=cfg)
     run = sim.run_process(perf.seq_read(transfer_bytes))
     return [ExperimentRow("seq_read", f"{mib}MiB", run.gbps, "GB/s")]
-
-
-def ablation_buffer_size(transfer_bytes: int = 128 * MiB) -> ExperimentResult:
-    """A8: URAM buffer size sweep — 4 MiB is not the bottleneck (§5.2)."""
-    result = ExperimentResult("ablation_bufsize", ABLATION_TITLES["ablation_bufsize"])
-    for mib in (2, 4, 8):
-        result.rows.extend(ablation_buffer_size_point(mib, transfer_bytes))
-    return result

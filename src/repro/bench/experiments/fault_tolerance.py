@@ -10,7 +10,7 @@ graceful degradation is measured against the true baseline.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 from ...core.bench import SnaccPerf
 from ...errors import StreamerError
@@ -19,11 +19,9 @@ from ...core.system import SnaccSystem, build_snacc_system
 from ...faults import FaultConfig
 from ...sim.core import Simulator
 from ...systems import HostSystemConfig
-from ...units import MiB
-from ..runner import ExperimentResult, ExperimentRow
+from ..runner import ExperimentRow
 
-__all__ = ["ablation_fault_rate", "ablation_fault_rate_point",
-           "DEFAULT_FAULT_RATES"]
+__all__ = ["ablation_fault_rate_point", "DEFAULT_FAULT_RATES"]
 
 #: per-command failure probabilities swept by default; past ~0.1 the
 #: default retry budget (4) starts exhausting and reads surface errors
@@ -75,16 +73,3 @@ def ablation_fault_rate_point(rate: float, rand_bytes: int,
     seq = system.sim.run_process(perf.seq_read(seq_bytes))
     rows.append(ExperimentRow("seq_read", label, seq.gbps, "GB/s"))
     return rows
-
-
-def ablation_fault_rate(
-        rand_bytes: int = 8 * MiB, seq_bytes: int = 32 * MiB,
-        rates: Sequence[float] = DEFAULT_FAULT_RATES) -> ExperimentResult:
-    """Fault rate vs delivered bandwidth (tentpole ablation, PR 3)."""
-    result = ExperimentResult(
-        "ablation_faults",
-        "delivered read bandwidth + recovery vs injected fault rate")
-    for rate in rates:
-        result.rows.extend(
-            ablation_fault_rate_point(rate, rand_bytes, seq_bytes))
-    return result

@@ -5,8 +5,8 @@
 * Fig 4c — single-command latency.
 
 ``transfer_bytes`` trades fidelity for wall-clock: the paper uses 1 GB;
-the default here is large enough that pipeline fill/tail amortize to the
-same steady state.
+the bench profiles (``repro.bench.jobs.PROFILES``) use transfers large
+enough that pipeline fill/tail amortize to the same steady state.
 """
 
 from __future__ import annotations
@@ -19,12 +19,10 @@ from ...nvme.spec import IoOpcode
 from ...sim.core import Simulator
 from ...spdk.bench import SpdkPerf
 from ...systems import HostSystemConfig, build_host_system
-from ...units import MiB
 from ..paper import FIG4A, FIG4B, FIG4C
-from ..runner import ExperimentResult, ExperimentRow
+from ..runner import ExperimentRow
 
-__all__ = ["run_fig4a", "run_fig4b", "run_fig4c", "SYSTEMS",
-           "fig4a_point", "fig4b_point", "fig4c_point"]
+__all__ = ["SYSTEMS", "fig4a_point", "fig4b_point", "fig4c_point"]
 
 SYSTEMS = ("spdk", "uram", "onboard_dram", "host_dram")
 
@@ -71,17 +69,6 @@ def fig4a_point(kind: str, system_name: str, transfer_bytes: int,
                           FIG4A[kind][system_name])]
 
 
-def run_fig4a(transfer_bytes: int = 512 * MiB,
-              repetitions: int = 2) -> ExperimentResult:
-    """Sequential bandwidth; repetitions expose the write alternation."""
-    result = ExperimentResult("fig4a", "sequential NVMe bandwidth (GB/s)")
-    for kind in ("seq_read", "seq_write"):
-        for name in SYSTEMS:
-            result.rows.extend(
-                fig4a_point(kind, name, transfer_bytes, repetitions))
-    return result
-
-
 def fig4b_point(kind: str, system_name: str,
                 transfer_bytes: int) -> List[ExperimentRow]:
     """One (kind, system) cell of Fig 4b on a private simulator."""
@@ -94,15 +81,6 @@ def fig4b_point(kind: str, system_name: str,
     run = sim.run_process(fn(transfer_bytes))
     return [ExperimentRow(kind, system_name, run.gbps, "GB/s",
                           FIG4B[kind][system_name])]
-
-
-def run_fig4b(transfer_bytes: int = 32 * MiB) -> ExperimentResult:
-    """Random 4 KiB bandwidth at QD 64."""
-    result = ExperimentResult("fig4b", "random 4 KiB NVMe bandwidth (GB/s)")
-    for kind in ("rand_read", "rand_write"):
-        for name in SYSTEMS:
-            result.rows.extend(fig4b_point(kind, name, transfer_bytes))
-    return result
 
 
 def fig4c_point(system_name: str, samples: int) -> List[ExperimentRow]:
@@ -124,11 +102,3 @@ def fig4c_point(system_name: str, samples: int) -> List[ExperimentRow]:
                       sum(wl) / len(wl) / 1000, "us",
                       FIG4C["write_latency_us"][system_name]),
     ]
-
-
-def run_fig4c(samples: int = 200) -> ExperimentResult:
-    """Single 4 KiB access latency."""
-    result = ExperimentResult("fig4c", "single 4 KiB access latency (us)")
-    for name in SYSTEMS:
-        result.rows.extend(fig4c_point(name, samples))
-    return result

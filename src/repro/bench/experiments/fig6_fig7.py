@@ -10,13 +10,12 @@ from __future__ import annotations
 from typing import Dict
 
 from ...apps.case_study import (CaseStudyConfig, CaseStudyResult,
-                                IMPLEMENTATIONS, run_case_study)
+                                run_case_study)
 from ...systems import HostSystemConfig
 from ..paper import FIG6, FIG7_ORDER
 from ..runner import ExperimentResult
 
-__all__ = ["run_case_study_all", "case_study_point",
-           "fig6_from_results", "fig7_from_results"]
+__all__ = ["case_study_point", "fig6_from_results", "fig7_from_results"]
 
 
 def case_study_point(implementation: str, n_images: int,
@@ -30,14 +29,6 @@ def case_study_point(implementation: str, n_images: int,
     config = CaseStudyConfig(n_images=n_images, warmup_images=warmup_images,
                              host=HostSystemConfig(coarsening=coarsening))
     return run_case_study(implementation, config)
-
-
-def run_case_study_all(n_images: int = 48,
-                       warmup_images: int = 8
-                       ) -> Dict[str, CaseStudyResult]:
-    """Run all five implementations on identical workloads."""
-    return {impl: case_study_point(impl, n_images, warmup_images)
-            for impl in IMPLEMENTATIONS}
 
 
 def fig6_from_results(results: Dict[str, CaseStudyResult]

@@ -25,11 +25,11 @@ from typing import List
 from ...fleet import FleetConfig, FleetWorkload, run_fleet, run_incast
 from ...units import MiB
 from ..paper import Band
-from ..runner import ExperimentResult, ExperimentRow
+from ..runner import ExperimentRow
 
 __all__ = ["FLEET_NODE_COUNTS", "FLEET_SKEWS", "FLEET_SCALE_SKEW",
            "FLEET_SKEW_NODES", "FLEET_TITLE", "fleet_incast_point",
-           "fleet_scale_point", "run_fleet_suite"]
+           "fleet_scale_point"]
 
 #: node counts of the scale sweep (fixed skew FLEET_SCALE_SKEW)
 FLEET_NODE_COUNTS = (1, 2, 4, 8)
@@ -85,25 +85,3 @@ def fleet_incast_point(n_senders: int, put_mib: int,
         ExperimentRow("dropped", system, float(result.dropped_frames),
                       "frames", _NO_DROPS),
     ]
-
-
-def run_fleet_suite(n_requests: int = 4000, n_objects: int = 2048,
-                    scale_interarrival_ns: int = 2000,
-                    skew_interarrival_ns: int = 4000,
-                    incast_senders: int = 8,
-                    incast_mib: int = 4,
-                    coarsening: str = "train") -> ExperimentResult:
-    """Serial composition of every fleet point (mirrors the other
-    ``run_*`` experiment entry points)."""
-    result = ExperimentResult("fleet", FLEET_TITLE)
-    for n_nodes in FLEET_NODE_COUNTS:
-        result.rows.extend(fleet_scale_point(
-            n_nodes, FLEET_SCALE_SKEW, n_requests, n_objects,
-            scale_interarrival_ns, coarsening=coarsening))
-    for skew in FLEET_SKEWS:
-        result.rows.extend(fleet_scale_point(
-            FLEET_SKEW_NODES, skew, n_requests, n_objects,
-            skew_interarrival_ns, coarsening=coarsening))
-    result.rows.extend(fleet_incast_point(incast_senders, incast_mib,
-                                          coarsening=coarsening))
-    return result

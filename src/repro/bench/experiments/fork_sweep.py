@@ -30,11 +30,10 @@ from ...faults import FaultConfig
 from ...sim.core import Simulator
 from ...sim.snapshot import ScenarioEngine
 from ...systems import HostSystemConfig
-from ...units import KiB, MiB
-from ..runner import ExperimentResult, ExperimentRow
+from ..runner import ExperimentRow
 
 __all__ = ["FORK_SWEEP_TITLE", "storm_scales", "storm_scenario",
-           "fork_sweep_point", "fork_sweep"]
+           "fork_sweep_point"]
 
 FORK_SWEEP_TITLE = ("fault-storm what-ifs branched from one warm prefix "
                     "(checkpoint/fork engine)")
@@ -153,14 +152,3 @@ def fork_sweep_point(n_branches: int, warm_bytes: int, branch_bytes: int,
                                   float(faults.get("nvme_failures_injected",
                                                    0)), "cmds"))
     return rows
-
-
-def fork_sweep(n_branches: int = 16, warm_bytes: int = 8 * MiB,
-               branch_bytes: int = 512 * KiB,
-               mechanism: str = "auto") -> ExperimentResult:
-    """The standalone experiment (``python -m repro.bench`` section)."""
-    result = ExperimentResult("fork_sweep", FORK_SWEEP_TITLE)
-    result.rows.extend(
-        fork_sweep_point(n_branches, warm_bytes, branch_bytes,
-                         mechanism=mechanism))
-    return result

@@ -7,9 +7,9 @@ from typing import List
 from ...fpga.resources import ALVEO_U280, StreamerAreaModel
 from ...units import MiB
 from ..paper import Band, TABLE1
-from ..runner import ExperimentResult, ExperimentRow
+from ..runner import ExperimentRow
 
-__all__ = ["run_table1", "table1_point"]
+__all__ = ["table1_point"]
 
 
 def table1_point(variant: str) -> List[ExperimentRow]:
@@ -38,11 +38,3 @@ def table1_point(variant: str) -> List[ExperimentRow]:
     rows.append(ExperimentRow("FF_pct", variant, pct["FF"], "%"))
     rows.append(ExperimentRow("URAM_pct", variant, pct["URAM"], "%"))
     return rows
-
-
-def run_table1() -> ExperimentResult:
-    """Synthesized-area estimates vs the paper's Table 1 (exact targets)."""
-    result = ExperimentResult("table1", "NVMe Streamer FPGA utilization")
-    for variant in TABLE1:
-        result.rows.extend(table1_point(variant))
-    return result

@@ -53,7 +53,7 @@ from .experiments.fleet import (FLEET_NODE_COUNTS, FLEET_SCALE_SKEW,
 from .experiments.fig6_fig7 import (case_study_point, fig6_from_results,
                                     fig7_from_results)
 from .experiments.table1 import table1_point
-from .paper import TABLE1
+from .paper import CLAIMS, TABLE1
 from .pool import get_pool
 from .runner import ExperimentResult, rows_from_json, rows_to_json
 
@@ -90,125 +90,40 @@ def _job(experiment: str, point: str, fn: str, **kwargs: Any) -> JobSpec:
 
 
 # --------------------------------------------------- point function registry
-# Top-level wrappers returning JSON payloads, so worker processes resolve
-# them by name after import (spawn-safe) and the cache stores their output
-# verbatim.
-def _run_table1_point(variant: str) -> Any:
-    return rows_to_json(table1_point(variant))
-
-
-def _run_fig4a_point(kind: str, system_name: str, transfer_bytes: int,
-                     repetitions: int) -> Any:
-    return rows_to_json(
-        fig4a_point(kind, system_name, transfer_bytes, repetitions))
-
-
-def _run_fig4b_point(kind: str, system_name: str, transfer_bytes: int) -> Any:
-    return rows_to_json(fig4b_point(kind, system_name, transfer_bytes))
-
-
-def _run_fig4c_point(system_name: str, samples: int) -> Any:
-    return rows_to_json(fig4c_point(system_name, samples))
-
-
-def _run_case_study_point(implementation: str, n_images: int,
-                          warmup_images: int,
-                          coarsening: str = "train") -> Any:
-    return case_study_point(implementation, n_images, warmup_images,
-                            coarsening=coarsening).to_json()
-
-
-def _run_ablation_qd_point(qd: int, total_bytes: int) -> Any:
-    return rows_to_json(ablation_queue_depth_point(qd, total_bytes))
-
-
-def _run_ablation_ooo_point(policy: str, total_bytes: int) -> Any:
-    return rows_to_json(ablation_ooo_point(policy, total_bytes))
-
-
-def _run_ablation_gen5_point(generation: str, kind: str,
-                             transfer_bytes: int) -> Any:
-    return rows_to_json(ablation_gen5_point(generation, kind, transfer_bytes))
-
-
-def _run_ablation_multi_ssd_point(n: int, transfer_bytes: int) -> Any:
-    return rows_to_json(ablation_multi_ssd_point(n, transfer_bytes))
-
-
-def _run_ablation_hbm_point(memory: str, n_ssds: int,
-                            transfer_bytes: int) -> Any:
-    return rows_to_json(ablation_hbm_point(memory, n_ssds, transfer_bytes))
-
-
-def _run_ablation_burst_point(burst_label: str, transfer_bytes: int) -> Any:
-    return rows_to_json(ablation_burst_point(burst_label, transfer_bytes))
-
-
-def _run_ablation_fc_point(fc_label: str, n_frames: int,
-                           coarsening: str = "train") -> Any:
-    return rows_to_json(ablation_flow_control_point(fc_label, n_frames,
-                                                    coarsening=coarsening))
-
-
-def _run_ablation_bufsize_point(mib: int, transfer_bytes: int) -> Any:
-    return rows_to_json(ablation_buffer_size_point(mib, transfer_bytes))
-
-
-def _run_ablation_faults_point(rate: float, rand_bytes: int,
-                               seq_bytes: int) -> Any:
-    return rows_to_json(
-        ablation_fault_rate_point(rate, rand_bytes, seq_bytes))
-
-
-def _run_fleet_scale_point(n_nodes: int, zipf_skew: float, n_requests: int,
-                           n_objects: int, mean_interarrival_ns: int,
-                           coarsening: str = "train") -> Any:
-    return rows_to_json(fleet_scale_point(
-        n_nodes, zipf_skew, n_requests, n_objects, mean_interarrival_ns,
-        coarsening=coarsening))
-
-
-def _run_fleet_incast_point(n_senders: int, put_mib: int,
-                            coarsening: str = "train") -> Any:
-    return rows_to_json(fleet_incast_point(n_senders, put_mib,
-                                           coarsening=coarsening))
-
-
-def _run_fork_sweep_point(n_branches: int, warm_bytes: int,
-                          branch_bytes: int) -> Any:
-    # One job carries the WHOLE branchy sweep: the shared warm prefix
-    # lives in process memory, so the branches cannot be split across
-    # pool workers the way independent points are.  The payload is
-    # mechanism-independent (fork on single-threaded POSIX workers,
-    # replay elsewhere), so caching and --jobs N byte-identity hold.
-    return rows_to_json(
-        fork_sweep_point(n_branches, warm_bytes, branch_bytes))
-
-
+#: ``JobSpec.fn`` -> the ``*_point`` function it runs.  Worker processes
+#: resolve entries by name after import (spawn-safe); :func:`execute_job`
+#: turns the return value into the JSON payload the cache stores.
 POINT_FUNCTIONS: Dict[str, Callable[..., Any]] = {
-    "table1_point": _run_table1_point,
-    "fig4a_point": _run_fig4a_point,
-    "fig4b_point": _run_fig4b_point,
-    "fig4c_point": _run_fig4c_point,
-    "case_study_point": _run_case_study_point,
-    "ablation_qd_point": _run_ablation_qd_point,
-    "ablation_ooo_point": _run_ablation_ooo_point,
-    "ablation_gen5_point": _run_ablation_gen5_point,
-    "ablation_multi_ssd_point": _run_ablation_multi_ssd_point,
-    "ablation_hbm_point": _run_ablation_hbm_point,
-    "ablation_burst_point": _run_ablation_burst_point,
-    "ablation_fc_point": _run_ablation_fc_point,
-    "ablation_bufsize_point": _run_ablation_bufsize_point,
-    "ablation_faults_point": _run_ablation_faults_point,
-    "fleet_scale_point": _run_fleet_scale_point,
-    "fleet_incast_point": _run_fleet_incast_point,
-    "fork_sweep_point": _run_fork_sweep_point,
+    "table1_point": table1_point,
+    "fig4a_point": fig4a_point,
+    "fig4b_point": fig4b_point,
+    "fig4c_point": fig4c_point,
+    "case_study_point": case_study_point,
+    "ablation_qd_point": ablation_queue_depth_point,
+    "ablation_ooo_point": ablation_ooo_point,
+    "ablation_gen5_point": ablation_gen5_point,
+    "ablation_multi_ssd_point": ablation_multi_ssd_point,
+    "ablation_hbm_point": ablation_hbm_point,
+    "ablation_burst_point": ablation_burst_point,
+    "ablation_fc_point": ablation_flow_control_point,
+    "ablation_bufsize_point": ablation_buffer_size_point,
+    "ablation_faults_point": ablation_fault_rate_point,
+    "fleet_scale_point": fleet_scale_point,
+    "fleet_incast_point": fleet_incast_point,
+    "fork_sweep_point": fork_sweep_point,
 }
 
 
 def execute_job(spec: JobSpec) -> Any:
-    """Run one job in the current process; the worker entry point."""
-    return POINT_FUNCTIONS[spec.fn](**spec.kwargs_dict())
+    """Run one job in the current process; the worker entry point.
+
+    Returns the JSON payload: ``to_json()`` of a case-study run, the
+    serialized rows of every other point.
+    """
+    out = POINT_FUNCTIONS[spec.fn](**spec.kwargs_dict())
+    if isinstance(out, CaseStudyResult):
+        return out.to_json()
+    return rows_to_json(out)
 
 
 def run_batch(specs: Sequence[JobSpec]) -> List[Any]:
@@ -259,9 +174,9 @@ def _merge_case_study(payloads: List[Any]) -> List[ExperimentResult]:
 
 
 # ------------------------------------------------------------------- plans
-#: workload sizes per profile: 'full' and 'quick' mirror the historical
-#: ``python -m repro.bench [--quick]`` exactly (ablations always ran at
-#: their defaults); 'tiny' is the test/smoke profile (1-2 MiB transfers).
+#: workload sizes per profile: 'full' and 'quick' are ``python -m
+#: repro.bench [--quick]`` (the ablations run at the same sizes in both);
+#: 'tiny' is the test/smoke profile (1-2 MiB transfers).
 PROFILES: Dict[str, Dict[str, int]] = {
     "full": dict(seq_bytes=512 * MiB, rand_bytes=32 * MiB, fig4c_samples=250,
                  images=48, warmup_images=8, qd_bytes=24 * MiB,
@@ -440,6 +355,11 @@ def build_plan(profile: str = "full",
                       put_mib=sizes["fleet_incast_mib"],
                       coarsening=coarsening)],
               _merge_rows("fleet", FLEET_TITLE)),
+        # One job carries the WHOLE branchy sweep: the shared warm prefix
+        # lives in process memory, so the branches cannot be split across
+        # pool workers the way independent points are.  The payload is
+        # mechanism-independent (fork on single-threaded POSIX workers,
+        # replay elsewhere), so caching and --jobs N byte-identity hold.
         Stage("fork sweep", "fork_sweep",
               [_job("fork_sweep", f"storm_x{sizes['fork_branches']}",
                     "fork_sweep_point",
@@ -546,17 +466,40 @@ def execute_plan(stages: Sequence[Stage], jobs: int = 1,
 
 # --------------------------------------------------------------- reporting
 def render_report(results: Sequence[ExperimentResult]) -> Tuple[str, bool]:
-    """The deterministic report text and the paper-band verdict.
+    """The deterministic report text and the paper verdict.
 
     Every result with paper bands — ablations included — feeds the
-    verdict, so an out-of-band ablation row fails the run instead of
-    hiding behind "ALL PAPER BANDS HIT".
+    verdict, and so does every claim of :data:`~repro.bench.paper.CLAIMS`
+    whose result ran: an out-of-band row or a failing claim fails the run
+    instead of hiding behind "ALL PAPER BANDS HIT".  The claims section
+    follows the tables; claims of results that did not run are skipped.
     """
-    ok = all(result.all_in_band for result in results)
     parts = [result.render() + "\n\n" for result in results]
-    parts.append(("ALL PAPER BANDS HIT" if ok else "SOME ROWS OUT OF BAND")
-                 + "\n")
-    return "".join(parts), ok
+    cells = {result.experiment: {(r.series, r.system): r.measured
+                                 for r in result.rows}
+             for result in results}
+    lines: List[str] = []
+    claims_ok = True
+    for number, claim in enumerate(CLAIMS, 1):
+        if claim.experiment not in cells:
+            continue
+        holds = claim.holds(cells[claim.experiment])
+        claims_ok = claims_ok and holds
+        mark = "[holds]" if holds else "[CLAIM FAILS]"
+        lines.append(f"  C{number:<2}  {claim.experiment}: {claim.text}"
+                     f"  {mark}\n")
+    if lines:
+        parts.append("== claims: the paper's shape claims ==\n"
+                     + "".join(lines) + "\n")
+    bands_ok = all(result.all_in_band for result in results)
+    verdict: List[str] = []
+    if not bands_ok:
+        verdict.append("SOME ROWS OUT OF BAND")
+    if not claims_ok:
+        verdict.append("SOME PAPER CLAIMS FAIL")
+    parts.append("; ".join(verdict) if verdict else "ALL PAPER BANDS HIT")
+    parts.append("\n")
+    return "".join(parts), bands_ok and claims_ok
 
 
 def results_to_json(results: Sequence[ExperimentResult],

@@ -1,16 +1,20 @@
-"""The paper's reported numbers — targets the harness compares against.
+"""The paper's reported numbers and shape claims — what the harness checks.
 
 Values transcribed from SNAcc (SC Workshops '25): Fig 4a/4b/4c, Table 1,
 Fig 6 and Fig 7.  Bands are used where the paper reports ranges or error
-bars (the alternating write bandwidths of §5.2).
+bars (the alternating write bandwidths of §5.2).  :data:`CLAIMS` holds
+the paper's shape claims — orderings, ratios and exact values across
+rows — which the report evaluates over the merged results next to the
+per-row bands.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Tuple
+from typing import Callable, Dict, Mapping, Tuple
 
-__all__ = ["Band", "FIG4A", "FIG4B", "FIG4C", "TABLE1", "FIG6", "FIG7_ORDER"]
+__all__ = ["Band", "FIG4A", "FIG4B", "FIG4C", "TABLE1", "FIG6", "FIG7_ORDER",
+           "Claim", "CLAIMS"]
 
 
 @dataclass(frozen=True)
@@ -107,3 +111,126 @@ FIG6: Dict[str, Band] = {
 #: Fig 7 — PCIe transfer-volume ordering (fewest -> most)
 FIG7_ORDER: Tuple[str, ...] = (
     "snacc-uram", "snacc-onboard_dram", "snacc-host_dram", "spdk", "gpu")
+
+
+# ------------------------------------------------------------------ claims
+#: one result's measurements: (series, system) -> measured value
+Cells = Mapping[Tuple[str, str], float]
+
+
+@dataclass(frozen=True)
+class Claim:
+    """One shape claim of the paper, judged over one result's cells."""
+
+    experiment: str                  # result id, e.g. 'fig4a' or 'fig6'
+    text: str                        # printed in the report's claims section
+    holds: Callable[[Cells], bool]
+
+
+def _series(cells: Cells, series: str) -> Dict[str, float]:
+    """system -> measured for one series of a result."""
+    return {system: v for (s, system), v in cells.items() if s == series}
+
+
+def _spread(cells: Cells, series: str) -> float:
+    values = _series(cells, series).values()
+    return max(values) - min(values)
+
+
+def _table1_exact(cells: Cells) -> bool:
+    pins = [(cell, variant, TABLE1[variant][cell])
+            for variant in TABLE1 for cell in ("LUT", "FF")]
+    pins += [("BRAM", variant, TABLE1[variant]["BRAM"])
+             for variant in ("onboard_dram", "host_dram")]
+    pins.append(("URAM", "uram", TABLE1["uram"]["URAM_MiB"]))
+    return all(cells[cell, variant] == want for cell, variant, want in pins)
+
+
+def _snacc_below_spdk_at_every_depth(cells: Cells) -> bool:
+    spdk = {s: v for (s, system), v in cells.items() if system == "spdk"}
+    return all(cells[s, "uram"] < v for s, v in spdk.items())
+
+
+_SNACC = ("uram", "onboard_dram", "host_dram")
+_SNACC_IMPLS = ("snacc-uram", "snacc-onboard_dram", "snacc-host_dram")
+
+#: The paper's shape claims in report order; the report numbers them from
+#: C1.  A claim whose result did not run (``--only``) is skipped, never
+#: failed.  Every claim must hold for the run to pass.
+CLAIMS: Tuple[Claim, ...] = (
+    Claim("table1", "LUT, FF, BRAM and URAM equal Table 1 exactly",
+          _table1_exact),
+    # §5.2: reads ~6.9 GB/s on every system; host-DRAM writes match SPDK
+    Claim("fig4a", "seq_read spread over the 4 systems < 0.6 GB/s",
+          lambda c: _spread(c, "seq_read") < 0.6),
+    Claim("fig4a", "seq_write host_dram > uram > onboard_dram",
+          lambda c: (c["seq_write", "host_dram"] > c["seq_write", "uram"]
+                     > c["seq_write", "onboard_dram"])),
+    Claim("fig4a", "|seq_write host_dram - spdk| < 0.3 GB/s",
+          lambda c: abs(c["seq_write", "host_dram"]
+                        - c["seq_write", "spdk"]) < 0.3),
+    # §5.2: in-order retirement costs random reads, random writes keep up
+    Claim("fig4b", "each SNAcc rand_read < 0.65x SPDK",
+          lambda c: all(c["rand_read", v] < 0.65 * c["rand_read", "spdk"]
+                        for v in _SNACC)),
+    Claim("fig4b", "each SNAcc rand_write > 0.75x SPDK",
+          lambda c: all(c["rand_write", v] > 0.75 * c["rand_write", "spdk"]
+                        for v in _SNACC)),
+    Claim("fig4c", "read latency uram < onboard_dram < host_dram < spdk",
+          lambda c: (c["read_latency_us", "uram"]
+                     < c["read_latency_us", "onboard_dram"]
+                     < c["read_latency_us", "host_dram"]
+                     < c["read_latency_us", "spdk"])),
+    Claim("fig4c", "every write latency < 9 us",
+          lambda c: all(v < 9 for v in
+                        _series(c, "write_latency_us").values())),
+    # §6.3: host-DRAM and SPDK lead, on-board DRAM last, SNAcc idles the CPU
+    Claim("fig6", "the highest bandwidth is snacc-host_dram or spdk",
+          lambda c: max(_series(c, "bandwidth").values()) in (
+              c["bandwidth", "snacc-host_dram"], c["bandwidth", "spdk"])),
+    Claim("fig6", "snacc-onboard_dram has the lowest bandwidth",
+          lambda c: c["bandwidth", "snacc-onboard_dram"]
+          == min(_series(c, "bandwidth").values())),
+    Claim("fig6", "SNAcc CPU < 1%; spdk and gpu CPU > 99%",
+          lambda c: (all(c["cpu", impl] < 1.0 for impl in _SNACC_IMPLS)
+                     and all(c["cpu", impl] > 99.0
+                             for impl in ("spdk", "gpu")))),
+    # Fig 7: on-FPGA buffers halve PCIe traffic; the GPU path moves most
+    Claim("fig7", "snacc-uram within 5% of snacc-onboard_dram",
+          lambda c: abs(c["pcie_per_image", "snacc-uram"]
+                        - c["pcie_per_image", "snacc-onboard_dram"])
+          <= 0.05 * abs(c["pcie_per_image", "snacc-onboard_dram"])),
+    Claim("fig7", "snacc-uram < 0.6x snacc-host_dram",
+          lambda c: c["pcie_per_image", "snacc-uram"]
+          < 0.6 * c["pcie_per_image", "snacc-host_dram"]),
+    Claim("fig7", "gpu > spdk, and gpu is the highest",
+          lambda c: (c["pcie_per_image", "gpu"] > c["pcie_per_image", "spdk"]
+                     and c["pcie_per_image", "gpu"]
+                     == max(_series(c, "pcie_per_image").values()))),
+    # §5.2 and §7: the ablations' design claims
+    Claim("ablation_qd", "spdk qd256 > 1.5x qd16",
+          lambda c: c["qd256", "spdk"] > c["qd16", "spdk"] * 1.5),
+    Claim("ablation_qd", "uram < spdk at every depth",
+          _snacc_below_spdk_at_every_depth),
+    Claim("ablation_ooo", "out_of_order > 1.3x in_order",
+          lambda c: c["rand_read", "out_of_order"]
+          > c["rand_read", "in_order"] * 1.3),
+    Claim("ablation_gen5", "gen5 > 1.6x gen4, for read and for write",
+          lambda c: all(c[kind, "gen5"] > c[kind, "gen4"] * 1.6
+                        for kind in ("seq_read", "seq_write"))),
+    Claim("ablation_multi_ssd", "2_ssd > 1.6x 1_ssd",
+          lambda c: c["aggregate_seq_write", "2_ssd"]
+          > c["aggregate_seq_write", "1_ssd"] * 1.6),
+    Claim("ablation_burst", "uncoalesced_512 < 0.75x coalesced_4k",
+          lambda c: c["seq_write", "uncoalesced_512"]
+          < c["seq_write", "coalesced_4k"] * 0.75),
+    Claim("ablation_hbm", "independent_banks > 1.5x shared_dram_ctrl",
+          lambda c: c["aggregate_seq_write", "independent_banks"]
+          > c["aggregate_seq_write", "shared_dram_ctrl"] * 1.5),
+    Claim("ablation_fc",
+          "flow_control_on drops 0 frames; flow_control_off drops > 0",
+          lambda c: (c["frames_dropped", "flow_control_on"] == 0
+                     and c["frames_dropped", "flow_control_off"] > 0)),
+    Claim("ablation_bufsize", "seq_read spread over 2/4/8 MiB < 0.35 GB/s",
+          lambda c: _spread(c, "seq_read") < 0.35),
+)

@@ -74,6 +74,13 @@ class EthernetMac:
         self._rx_bytes = 0
         self._rx_kick = Event(sim)
         self._xoff_sent = False
+        #: bumped by every XOFF; a refresh carries the generation it was
+        #: armed for and dies once a newer XOFF owns the refresh chain
+        self._xoff_gen = 0
+        #: an outstanding XOFF is re-sent every half pause, so a consumer
+        #: stalled for longer than one pause never sees its sender resume
+        #: into a full FIFO (802.3x receivers refresh before expiry)
+        self._xoff_refresh_ns = self.pause_quanta_ns(0xFFFF) // 2
         #: quiescent-receiver fast path (DESIGN.md §11): a consumer may
         #: register ``rx_sink(frame) -> bool`` to take delivery of a data
         #: frame without the FIFO-append/kick/``recv`` machinery.  The
@@ -362,6 +369,21 @@ class EthernetMac:
             return
         self.peer._on_frame(pause_frame(quanta))
 
+    def _send_xoff(self) -> None:
+        """Pause the peer and arm the first refresh of this XOFF."""
+        self._xoff_sent = True
+        self._xoff_gen += 1
+        self._send_control(0xFFFF)
+        self.sim.schedule_call(self._xoff_refresh_ns, self._refresh_xoff,
+                               self._xoff_gen)
+
+    def _refresh_xoff(self, gen: int) -> None:
+        """Re-send a still-outstanding XOFF before its quanta run out."""
+        if not self._xoff_sent or gen != self._xoff_gen:
+            return  # XON already sent, or a newer XOFF owns the chain
+        self._send_control(0xFFFF)
+        self.sim.schedule_call(self._xoff_refresh_ns, self._refresh_xoff, gen)
+
     def pause_quanta_ns(self, quanta: int) -> int:
         """Duration of *quanta* pause quanta (one quantum = 512 bit-times)."""
         return ns_for_bytes(quanta * 64, self.rate_gbps)
@@ -413,8 +435,7 @@ class EthernetMac:
             # this path).
             self.dropped_frames += 1
             if self.flow_control and not self._xoff_sent:
-                self._xoff_sent = True
-                self._send_control(0xFFFF)
+                self._send_xoff()
             return
         sink = self.rx_sink
         if (sink is not None and not self._rx_frames and not self._xoff_sent
@@ -432,8 +453,7 @@ class EthernetMac:
         self.rx_frames += 1
         if self.flow_control and not self._xoff_sent \
                 and rx_bytes >= self._high:
-            self._xoff_sent = True
-            self._send_control(0xFFFF)
+            self._send_xoff()
         kick, self._rx_kick = self._rx_kick, Event(self.sim)
         kick.succeed()
 

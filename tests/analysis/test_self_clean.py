@@ -1,7 +1,7 @@
 """Self-gate: the repo's own tree must be snacclint-clean.
 
 Runs the analyzer in-process over the same paths CI uses
-(``src tests benchmarks examples scripts``) and asserts zero findings and
+(``src tests examples scripts``) and asserts zero findings and
 zero parse errors, so a plain ``pytest`` run enforces the gate without any
 extra tooling.
 """
@@ -11,7 +11,7 @@ from pathlib import Path
 from repro.analysis import analyze_paths
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
-GATED_PATHS = ["src", "tests", "benchmarks", "examples", "scripts"]
+GATED_PATHS = ["src", "tests", "examples", "scripts"]
 
 
 def test_repo_tree_is_snacclint_clean():

@@ -6,6 +6,7 @@ import pytest
 from repro.apps import (CaseStudyConfig, DatabaseReader, ImageFactory,
                         ImageSpec, RecordHeader, downscale, run_case_study)
 from repro.apps.case_study import build_snacc_pipeline
+from repro.bench.experiments.fig6_fig7 import case_study_point
 from repro.core import StreamerVariant
 from repro.errors import ConfigError
 from repro.sim import Simulator
@@ -113,6 +114,14 @@ class TestPerformanceShape:
         for r in results.values():
             approx_fps = r.gbps * 1e9 / ImageSpec().nbytes
             assert r.fps == pytest.approx(approx_fps, rel=0.05)
+
+
+class TestLongGpuRun:
+    def test_gpu_stream_past_one_pause_completes(self):
+        """At 31+ images the GPU host's consumer stays above the low
+        watermark for longer than one pause; before XOFF refresh the
+        sender resumed into a full FIFO, frames died and the run hung."""
+        assert case_study_point("gpu", 32, 6).images == 26
 
 
 class TestConfigValidation:

@@ -12,7 +12,7 @@ import time
 
 import pytest
 
-from repro.bench.experiments.fork_sweep import (FORK_SWEEP_TITLE, fork_sweep,
+from repro.bench.experiments.fork_sweep import (FORK_SWEEP_TITLE,
                                                 fork_sweep_point,
                                                 storm_scales, storm_scenario)
 from repro.bench.jobs import build_plan, execute_plan
@@ -102,13 +102,6 @@ class TestStormRows:
         assert by[("storm_injected", "x0")] == 0.0
         assert by[("storm_injected", "x3")] > 0.0
         assert by[("storm_retries", "x3")] >= by[("storm_retries", "x0")]
-
-    def test_standalone_experiment_wraps_the_point(self):
-        result = fork_sweep(mechanism="replay", **TINY)
-        assert result.experiment == "fork_sweep"
-        assert result.title == FORK_SWEEP_TITLE
-        assert rows_to_json(result.rows) == \
-            rows_to_json(fork_sweep_point(mechanism="replay", **TINY))
 
 
 class TestPlanWiring:

@@ -2,14 +2,20 @@
 
 import pickle
 
-from repro.bench.experiments.ablations import ablation_flow_control
-from repro.bench.experiments.fig6_fig7 import (fig6_from_results,
-                                               fig7_from_results,
-                                               run_case_study_all)
-from repro.bench.experiments.fleet import run_fleet_suite
-from repro.bench.jobs import (EXPERIMENTS, POINT_FUNCTIONS, build_plan,
-                              execute_plan, render_report)
-from repro.bench.paper import Band
+from repro.apps.case_study import IMPLEMENTATIONS
+from repro.bench.experiments.ablations import (ABLATION_TITLES,
+                                               ablation_flow_control_point)
+from repro.bench.experiments.fig6_fig7 import (case_study_point,
+                                               fig6_from_results,
+                                               fig7_from_results)
+from repro.bench.experiments.fleet import (FLEET_NODE_COUNTS,
+                                           FLEET_SCALE_SKEW,
+                                           FLEET_SKEW_NODES, FLEET_SKEWS,
+                                           FLEET_TITLE, fleet_incast_point,
+                                           fleet_scale_point)
+from repro.bench.jobs import (EXPERIMENTS, POINT_FUNCTIONS, PROFILES,
+                              build_plan, execute_plan, render_report)
+from repro.bench.paper import CLAIMS, Band
 from repro.bench.runner import ExperimentResult, ExperimentRow
 
 import pytest
@@ -70,34 +76,53 @@ class TestSerialParallelEquivalence:
             == sum(len(s.jobs) for s in plan)
 
 
+def _reference_ablation_fc(sizes):
+    rows = []
+    for label in ("flow_control_on", "flow_control_off"):
+        rows += ablation_flow_control_point(label, sizes["fc_frames"])
+    return [ExperimentResult("ablation_fc", ABLATION_TITLES["ablation_fc"],
+                             rows)]
+
+
+def _reference_case_study(sizes):
+    runs = {impl: case_study_point(impl, sizes["images"],
+                                   sizes["warmup_images"])
+            for impl in IMPLEMENTATIONS}
+    return [fig6_from_results(runs), fig7_from_results(runs)]
+
+
+def _reference_fleet(sizes):
+    rows = []
+    for n in FLEET_NODE_COUNTS:
+        rows += fleet_scale_point(n, FLEET_SCALE_SKEW,
+                                  sizes["fleet_requests"],
+                                  sizes["fleet_objects"],
+                                  sizes["fleet_scale_gap_ns"])
+    for skew in FLEET_SKEWS:
+        rows += fleet_scale_point(FLEET_SKEW_NODES, skew,
+                                  sizes["fleet_requests"],
+                                  sizes["fleet_objects"],
+                                  sizes["fleet_skew_gap_ns"])
+    rows += fleet_incast_point(sizes["fleet_incast_senders"],
+                               sizes["fleet_incast_mib"])
+    return [ExperimentResult("fleet", FLEET_TITLE, rows)]
+
+
 class TestMergeFidelity:
-    def test_ablation_stage_matches_direct_run(self):
-        # the point decomposition must reproduce the historical
-        # function's result exactly (id, title, and every row).
-        plan = build_plan("tiny", only={"ablation_fc"})
-        (merged,), _ = execute_plan(plan, jobs=1)
-        direct = ablation_flow_control(n_frames=60)
-        assert merged.experiment == direct.experiment
-        assert merged.title == direct.title
-        assert merged.rows == direct.rows
-
-    def test_case_study_stage_matches_direct_run(self):
-        plan = build_plan("tiny", only={"case_study"})
-        (fig6, fig7), _ = execute_plan(plan, jobs=1)
-        runs = run_case_study_all(n_images=6, warmup_images=1)
-        assert fig6.rows == fig6_from_results(runs).rows
-        assert fig7.rows == fig7_from_results(runs).rows
-
-    def test_fleet_stage_matches_direct_run(self):
-        plan = build_plan("tiny", only={"fleet"})
-        (merged,), _ = execute_plan(plan, jobs=1)
-        direct = run_fleet_suite(n_requests=160, n_objects=128,
-                                 scale_interarrival_ns=4000,
-                                 skew_interarrival_ns=6000,
-                                 incast_senders=3, incast_mib=1)
-        assert merged.experiment == direct.experiment
-        assert merged.title == direct.title
-        assert merged.rows == direct.rows
+    @pytest.mark.parametrize("stage, reference", [
+        ("ablation_fc", _reference_ablation_fc),
+        ("case_study", _reference_case_study),
+        ("fleet", _reference_fleet),
+    ], ids=["ablation_fc", "case_study", "fleet"])
+    def test_stage_matches_its_points_in_declared_order(self, stage,
+                                                        reference):
+        # the reference composes the stage's *_point functions by hand;
+        # the job graph must merge the same rows, ids and titles
+        results, _ = execute_plan(build_plan("tiny", only={stage}), jobs=1)
+        expected = reference(PROFILES["tiny"])
+        assert [(r.experiment, r.title) for r in results] == \
+            [(r.experiment, r.title) for r in expected]
+        assert [r.rows for r in results] == [r.rows for r in expected]
 
 
 class TestRenderReport:
@@ -120,6 +145,58 @@ class TestRenderReport:
     def test_report_contains_each_table_once(self):
         text, _ = render_report([self.make(1.5), self.make(1.2)])
         assert text.count("== ablation_x: synthetic ablation ==") == 2
+
+
+class TestClaims:
+    @staticmethod
+    def ooo(in_order, out_of_order):
+        result = ExperimentResult("ablation_ooo", "retirement")
+        result.add("rand_read", "in_order", in_order, "GB/s")
+        result.add("rand_read", "out_of_order", out_of_order, "GB/s")
+        return result
+
+    def test_the_paper_makes_23_claims(self):
+        assert len(CLAIMS) == 23
+
+    def test_every_claim_reads_a_result_the_plan_produces(self):
+        full = build_plan("full")
+        tiny = build_plan("tiny")
+        assert [s.experiment for s in full] == [s.experiment for s in tiny]
+        results, _ = execute_plan(tiny, jobs=1)
+        assert {c.experiment for c in CLAIMS} <= \
+            {r.experiment for r in results}
+        # every predicate finds its rows (no KeyError) and is reported
+        text, _ok = render_report(results)
+        for number in range(1, len(CLAIMS) + 1):
+            assert f"  C{number:<2}  " in text
+
+    def test_violated_claim_fails_the_report(self):
+        text, ok = render_report([self.ooo(2.0, 2.4)])  # 1.2x < 1.3x
+        assert not ok
+        assert "ablation_ooo: out_of_order > 1.3x in_order  [CLAIM FAILS]" \
+            in text
+        assert text.endswith("SOME PAPER CLAIMS FAIL\n")
+
+    def test_holding_claim_passes(self):
+        text, ok = render_report([self.ooo(2.0, 3.6)])
+        assert ok
+        assert "out_of_order > 1.3x in_order  [holds]" in text
+        assert text.endswith("ALL PAPER BANDS HIT\n")
+
+    def test_band_and_claim_failures_are_both_named(self):
+        out_of_band = TestRenderReport().make(9.9)
+        text, ok = render_report([out_of_band, self.ooo(2.0, 2.0)])
+        assert not ok
+        assert text.endswith(
+            "SOME ROWS OUT OF BAND; SOME PAPER CLAIMS FAIL\n")
+
+    def test_claims_of_absent_results_are_skipped(self):
+        text, ok = render_report([self.ooo(2.0, 3.6)])
+        claims = [line for line in text.splitlines()
+                  if line.startswith("  C")]
+        assert len(claims) == 1 and "ablation_ooo" in claims[0]
+        text, ok = render_report([TestRenderReport().make(1.5)])
+        assert ok and "== claims" not in text
 
 
 class TestRowSerialization:

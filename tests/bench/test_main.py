@@ -5,7 +5,8 @@ import json
 import pytest
 
 from repro.bench.__main__ import build_arg_parser, main
-from repro.bench.jobs import EXPERIMENTS
+from repro.bench.experiments.table1 import table1_point
+from repro.bench.jobs import EXPERIMENTS, POINT_FUNCTIONS
 
 
 class TestArgParsing:
@@ -43,7 +44,32 @@ class TestMainRuns:
         out = capsys.readouterr().out
         assert code == 0
         assert "== table1: NVMe Streamer FPGA utilization ==" in out
+        # only Table 1's claim applies; the others' results did not run
+        claims = out.split("== claims: the paper's shape claims ==\n")[1]
+        assert claims.splitlines()[0].startswith("  C1   table1: ")
+        assert claims.splitlines()[0].endswith("[holds]")
+        assert claims.splitlines()[1] == ""
         assert out.endswith("ALL PAPER BANDS HIT\n")
+
+    def test_failing_claim_exits_one(self, capsys, tmp_path, monkeypatch):
+        # one LUT off: still inside the +-0.1% band, but Table 1's claim
+        # pins the paper's value exactly, so the run must fail
+        def off_by_one_lut(variant):
+            rows = table1_point(variant)
+            rows[0].measured += 1
+            return rows
+
+        monkeypatch.setitem(POINT_FUNCTIONS, "table1_point", off_by_one_lut)
+        path = tmp_path / "report.json"
+        code = main(["--only", "table1", "--jobs", "1", "--no-cache",
+                     "--json", str(path)])
+        out = capsys.readouterr().out
+        assert code == 1
+        assert "[OUT OF BAND]" not in out
+        assert "C1   table1: LUT, FF, BRAM and URAM equal Table 1 exactly" \
+            "  [CLAIM FAILS]" in out
+        assert out.endswith("SOME PAPER CLAIMS FAIL\n")
+        assert json.loads(path.read_text())["ok"] is False
 
     def test_cached_rerun_is_byte_identical_and_skips_work(
             self, capsys, tmp_path):

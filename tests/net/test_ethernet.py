@@ -117,6 +117,38 @@ class TestFlowControl:
         assert b.pause_frames_sent > 0
         assert a.tx_pause_ns > 0
 
+    @pytest.mark.parametrize("coarsening", ["train", "per_frame"])
+    @pytest.mark.parametrize("stall_pauses", [1, 2, 4, 8])
+    def test_stall_longer_than_a_pause_loses_nothing(self, sim, coarsening,
+                                                     stall_pauses):
+        """An outstanding XOFF is refreshed before its quanta run out.
+
+        Regression test: the receiver used to send one XOFF and nothing
+        more until its XON, so a consumer stalled for longer than one
+        pause had its sender resume into a full FIFO and drop frames.
+        """
+        a, b = linked_pair(sim, rx_fifo_bytes=64 * KiB, coarsening=coarsening)
+        n = 200
+        received = []
+
+        def sender():
+            yield from a.send_train([EthernetFrame(payload_bytes=8192,
+                                                   meta={"seq": i})
+                                     for i in range(n)])
+
+        def stalled_consumer():
+            yield sim.timeout(stall_pauses * b.pause_quanta_ns(0xFFFF))
+            for _ in range(n):
+                f = yield from b.recv()
+                received.append(f.meta["seq"])
+                yield sim.timeout(3000)
+
+        _ = sim.process(sender())
+        done = sim.process(stalled_consumer())
+        sim.run_until(done)
+        assert b.dropped_frames == 0
+        assert received == list(range(n))
+
     def test_loss_without_flow_control(self, sim):
         """Ablation A7: same workload, flow control off -> drops."""
         a, b = linked_pair(sim, rx_fifo_bytes=64 * KiB, flow_control=False)
