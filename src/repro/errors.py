@@ -69,7 +69,11 @@ class EthernetError(ReproError):
 
 
 class FrameDropError(EthernetError):
-    """A frame was dropped (receiver overrun without flow control)."""
+    """A flow-controlled receiver overran after its XOFF took effect.
+
+    Overruns without flow control, or before the pause can reach the
+    sender, are counted in ``dropped_frames`` instead (802.3x loss).
+    """
 
 
 class ConfigError(ReproError):

@@ -25,7 +25,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional
 
 from ..errors import ConfigError
-from ..net.frame import EthernetFrame
+from ..net.frame import EthernetFrame, check_coarsening
 from ..net.mac import EthernetMac
 from ..sim.core import Simulator
 from ..sim.resources import Resource
@@ -54,10 +54,7 @@ class FleetNode:
             raise ConfigError("need base_latency_ns >= 0, queue_depth >= 1")
         if read_chunk_bytes < frame_payload:
             raise ConfigError("read_chunk_bytes must be >= frame_payload")
-        if coarsening not in ("train", "per_frame"):
-            raise ConfigError(
-                f"coarsening must be 'train' or 'per_frame', "
-                f"got {coarsening!r}")
+        check_coarsening(coarsening)
         self.sim = sim
         self.name = name
         self.mac = mac
@@ -78,35 +75,34 @@ class FleetNode:
         #: service loop parked on an empty RX FIFO (sink-eligible)
         self._serve_parked = False
         if coarsening == "train":
-            # Quiescent-receiver fast path (DESIGN.md §11): GET requests
-            # arriving while the service loop is parked spawn their read
-            # via one deferred call in the exact scheduler slot the RX
-            # kick would have taken.  PUT data frames always decline so
-            # the FIFO/backpressure path (what incast exercises) is
-            # untouched.
-            mac.rx_sink = self._rx_sink
-            # Sync-capable for *requests only*: the last-hop switch may
-            # serve GET requests through the arithmetic funnel (each
-            # still arrives as a real event at its exact per-frame
-            # timestamp; the deferred _spawn_read keeps slot order).
-            # PUT data is vetoed outright — the first put frame kills
-            # the funnel while it is still idle (an exact hand-back),
-            # so incast meets the classic machinery it always did.
-            mac.rx_sync = True
-            mac.rx_veto = self._rx_veto
+            # The NIC's receiver (DESIGN.md §11.3), for GET requests
+            # only: PUT data frames always take the FIFO/backpressure
+            # path that incast exercises.
+            mac.receiver = self
 
     def start(self) -> None:
         """Spawn the NIC service loop."""
         _ = self.sim.process(self._serve(), name=f"{self.name}.serve")
 
-    def _rx_veto(self, frame: EthernetFrame) -> bool:
-        return frame.meta["kind"] != "req"
-
-    def _rx_sink(self, frame: EthernetFrame) -> bool:
+    def sink(self, frame: EthernetFrame) -> bool:
+        """Quiescent delivery: a GET request arriving while the service
+        loop is parked spawns its read via one deferred call in the
+        exact scheduler slot the RX kick would have taken."""
         if not self._serve_parked or frame.meta["kind"] != "req":
             return False
         self.sim.schedule_call(0, self._spawn_read, frame.meta)
         return True
+
+    def refuses(self, frame: EthernetFrame) -> bool:
+        """PUT data refuses the last-hop funnel; requests may ride it.
+        The first PUT frame kills the funnel while it is still idle (an
+        exact hand-back), so incast runs on the classic machinery."""
+        return frame.meta["kind"] != "req"
+
+    def absorb(self, frame: EthernetFrame) -> bool:
+        """Never early: each request arrives as a real delivery at its
+        exact per-frame timestamp (the deferred read keeps slot order)."""
+        return False
 
     def _spawn_read(self, meta: Dict) -> None:
         _ = self.sim.process(self._read(meta), name=f"{self.name}.read")
@@ -218,10 +214,7 @@ class ClientGateway:
     def __init__(self, sim: Simulator, name: str, mac: EthernetMac,
                  placement: Optional[LoadAwarePlacement] = None,
                  frame_payload: int = 8192, coarsening: str = "train"):
-        if coarsening not in ("train", "per_frame"):
-            raise ConfigError(
-                f"coarsening must be 'train' or 'per_frame', "
-                f"got {coarsening!r}")
+        check_coarsening(coarsening)
         self.sim = sim
         self.name = name
         self.mac = mac
@@ -248,22 +241,16 @@ class ClientGateway:
             return
         self._collecting = True
         if self.coarsening == "train":
-            # The collector body is fully synchronous, so a parked-loop
-            # flag is unnecessary: a sinked frame is processed by one
-            # deferred call in the exact scheduler slot the RX kick
-            # would have taken (DESIGN.md §11).
-            self.mac.rx_sink = self._rx_sink
-            # Sync-capable receiver: lets the last-hop switch service this
-            # port arithmetically (gateway funnel).  Mid-stream resp
-            # frames are pure commutative accounting, so they may be
-            # absorbed early; everything else (stream-completing frames,
-            # acks) demands a real delivery event at the exact per-frame
-            # timestamp, which lands back in _rx_sink.
-            self.mac.rx_sync = True
-            self.mac.rx_absorb = self._rx_absorb
+            # The MAC's receiver (DESIGN.md §11.3): the last-hop switch
+            # may serve this port arithmetically (gateway funnel).
+            self.mac.receiver = self
         _ = self.sim.process(self._collect(), name=f"{self.name}.rx")
 
-    def _rx_sink(self, frame: EthernetFrame) -> bool:
+    def sink(self, frame: EthernetFrame) -> bool:
+        """Quiescent delivery.  The collector body is fully synchronous,
+        so a parked-loop flag is unnecessary: a sinked frame is processed
+        by one deferred call in the exact scheduler slot the RX kick
+        would have taken (DESIGN.md §11)."""
         meta = frame.meta
         if meta["kind"] == "resp":
             record = self._pending[meta["stream"]]
@@ -281,11 +268,15 @@ class ClientGateway:
         self.sim.schedule_call(0, self._on_rx, frame)
         return True
 
-    def _rx_absorb(self, frame: EthernetFrame) -> bool:
-        """Gateway-funnel eager hook: absorb a mid-stream resp frame.
+    def refuses(self, frame: EthernetFrame) -> bool:
+        """Every frame class accepts arithmetic upstream service."""
+        return False
+
+    def absorb(self, frame: EthernetFrame) -> bool:
+        """Gateway-funnel eager accounting of a mid-stream resp frame.
 
         Same commutative accounting as the mid-stream branch of
-        :meth:`_rx_sink`, but run at the frame's *absorb* instant (its
+        :meth:`sink`, but run at the frame's *absorb* instant (its
         upstream serialization start) instead of its delivery instant.
         Safe because nothing reads this stream's record between those two
         instants: the stream's frames traverse one FIFO path in order, so

@@ -28,6 +28,7 @@ from dataclasses import dataclass
 from typing import Any, Dict, List
 
 from ..errors import ConfigError
+from ..net.frame import check_coarsening
 from ..net.mac import EthernetMac
 from ..net.switch import EthernetSwitch
 from ..sim.core import Simulator
@@ -67,10 +68,7 @@ class FleetConfig:
     coarsening: str = "train"
 
     def __post_init__(self) -> None:
-        if self.coarsening not in ("train", "per_frame"):
-            raise ConfigError(
-                f"coarsening must be 'train' or 'per_frame', "
-                f"got {self.coarsening!r}")
+        check_coarsening(self.coarsening)
         if self.n_nodes < 1 or self.nodes_per_leaf < 1:
             raise ConfigError("n_nodes and nodes_per_leaf must be >= 1")
         if self.n_gateways < 0:

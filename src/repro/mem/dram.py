@@ -83,29 +83,10 @@ class DramController(TimedMemory):
             self._base_ns_cache[nbytes] = t
         return t
 
-    def service_time_ns(self, direction: str, nbytes: int) -> int:
-        """Time to service one request, excluding queueing, at current state."""
-        t = self._base_ns(nbytes)
-        if self._last_direction and self._last_direction != direction:
-            t += self.timing.turnaround_ns
-        return t
-
-    def _service(self, direction: str, addr: int, nbytes: int):
-        if not self._controller.acquire_inline():
-            yield self._controller.acquire()
-        try:
-            busy = self.service_time_ns(direction, nbytes)
-            if self._last_direction and self._last_direction != direction:
-                self.stats.turnarounds += 1
-            self._last_direction = direction
-            yield self.sim.timeout(busy)
-        finally:
-            self._controller.release()
-
-    # Flat overrides (DESIGN.md §5): behavior identical to the base-class
-    # timed_read/timed_write driving _service, minus one delegation frame
-    # per event — this controller serves both streams of the on-board-DRAM
-    # variant, where the R/W turnaround contention is the paper's story.
+    # Flat implementations (DESIGN.md §5): no shared service helper, so
+    # one generator frame per event — this controller serves both streams
+    # of the on-board-DRAM variant, where the R/W turnaround contention is
+    # the paper's story.
     def timed_read(self, addr: int, nbytes: int, functional: bool = True):
         self.backing._check(addr, nbytes)
         if not self._controller.acquire_inline():

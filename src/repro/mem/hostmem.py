@@ -57,19 +57,9 @@ class HostDram(TimedMemory):
             self._busy_cache[nbytes] = busy
         return busy
 
-    def _service(self, direction: str, addr: int, nbytes: int):
-        port = self._ports[direction]
-        if not port.acquire_inline():
-            yield port.acquire()
-        try:
-            yield self.sim.timeout(self._busy_ns(nbytes))
-        finally:
-            port.release()
-
-    # Flat overrides (DESIGN.md §5): same behavior as the base-class
-    # timed_read/timed_write driving _service, one less delegation frame
-    # per event — host DRAM serves every host-path transfer and SQE/CQE of
-    # the SPDK baseline.
+    # Flat implementations (DESIGN.md §5): no shared service helper, so
+    # one generator frame per event — host DRAM serves every host-path
+    # transfer and SQE/CQE of the SPDK baseline.
     def timed_read(self, addr: int, nbytes: int, functional: bool = True):
         self.backing._check(addr, nbytes)
         port = self._ports["read"]

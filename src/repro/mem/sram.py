@@ -49,19 +49,10 @@ class SramMemory(TimedMemory):
             self._busy_cache[nbytes] = busy
         return busy
 
-    def _service(self, direction: str, addr: int, nbytes: int):
-        port = self._ports[direction]
-        if not port.acquire_inline():
-            yield port.acquire()
-        try:
-            yield self.sim.timeout(self._busy_ns(nbytes))
-        finally:
-            port.release()
-
-    # Flat overrides (DESIGN.md §5): identical behavior to the base-class
-    # timed_read/timed_write driving _service, minus one delegation frame
-    # on every event resume — this is the BAR data path of the URAM
-    # streamer variant, the hottest memory in the reproduction.
+    # Flat implementations (DESIGN.md §5): no shared service helper, so
+    # one generator frame on every event resume — this is the BAR data
+    # path of the URAM streamer variant, the hottest memory in the
+    # reproduction.
     def timed_read(self, addr: int, nbytes: int, functional: bool = True):
         self.backing._check(addr, nbytes)
         port = self._ports["read"]

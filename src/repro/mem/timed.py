@@ -18,7 +18,7 @@ from typing import Optional
 import numpy as np
 
 from ..sim.core import Simulator
-from .base import BytesLike, Memory, SparseMemory, as_bytes_array
+from .base import BytesLike, Memory, SparseMemory
 
 __all__ = ["TimedMemory", "AccessStats"]
 
@@ -50,9 +50,9 @@ class AccessStats:
 class TimedMemory:
     """Base class: functional backing plus a subclass-defined timing model.
 
-    Subclasses implement :meth:`_service` — a generator that advances
-    simulation time for one access — and may override the port-contention
-    structure.
+    Subclasses implement :meth:`timed_read` and :meth:`timed_write` flat,
+    each inlining its own port contention and timing (one generator frame
+    per access on the hottest paths of the reproduction).
     """
 
     def __init__(self, sim: Simulator, size: int, name: str = "",
@@ -83,37 +83,19 @@ class TimedMemory:
         """Zero-time functional fill (initialisation / test setup)."""
         self.backing.fill(addr, nbytes, value)
 
-    # -- timed access ---------------------------------------------------------
+    # -- timed access: the interface every concrete memory implements -------
     def timed_read(self, addr: int, nbytes: int, functional: bool = True):
-        """Timed read; returns the data (or ``None`` when functional=False)."""
-        self.backing._check(addr, nbytes)
-        yield from self._service("read", addr, nbytes)
-        self.stats.reads += 1
-        self.stats.read_bytes += nbytes
-        if functional:
-            return self.backing.read(addr, nbytes)
-        return None
+        """Generator: timed read of *nbytes* at *addr*.
+
+        Bounds-checks, waits out the memory's timing model, counts the
+        access in :attr:`stats`, and returns the data (``None`` when
+        *functional* is False).
+        """
+        raise NotImplementedError
 
     def timed_write(self, addr: int, data: Optional[BytesLike] = None,
                     nbytes: Optional[int] = None):
-        """Timed write of *data* (or a sized-only write of *nbytes*)."""
-        if data is None and nbytes is None:
-            raise ValueError("timed_write needs data or nbytes")
-        arr = None
-        if data is not None:
-            arr = as_bytes_array(data)
-            if nbytes is not None and nbytes != len(arr):
-                raise ValueError(f"nbytes={nbytes} != len(data)={len(arr)}")
-            nbytes = len(arr)
-        self.backing._check(addr, nbytes)
-        yield from self._service("write", addr, nbytes)
-        self.stats.writes += 1
-        self.stats.written_bytes += nbytes
-        if arr is not None:
-            self.backing.write(addr, arr)
-
-    # -- to be provided by subclasses -----------------------------------------
-    def _service(self, direction: str, addr: int, nbytes: int):
-        """Generator advancing time for one access (subclass hook)."""
+        """Generator: timed write of *data* (or a sized-only write of
+        *nbytes*); raises ValueError when neither is given or they
+        disagree, otherwise like :meth:`timed_read`."""
         raise NotImplementedError
-        yield  # pragma: no cover

@@ -7,10 +7,10 @@ from typing import Any, Dict, Optional
 
 import numpy as np
 
-from ..errors import EthernetError
+from ..errors import ConfigError, EthernetError
 
 __all__ = ["EthernetFrame", "PAUSE_ETHERTYPE", "FRAME_OVERHEAD_BYTES",
-           "MAX_PAYLOAD_BYTES"]
+           "MAX_PAYLOAD_BYTES", "check_coarsening"]
 
 #: MAC control frames (802.3x PAUSE) use this EtherType.
 PAUSE_ETHERTYPE = 0x8808
@@ -62,3 +62,10 @@ def pause_frame(quanta: int) -> EthernetFrame:
     """Build an XOFF (quanta > 0) or XON (quanta == 0) control frame."""
     return EthernetFrame(payload_bytes=64, ethertype=PAUSE_ETHERTYPE,
                          pause_quanta=quanta)
+
+
+def check_coarsening(coarsening: str) -> None:
+    """Reject an unknown frame-transfer coarsening mode (DESIGN.md §11)."""
+    if coarsening not in ("train", "per_frame"):
+        raise ConfigError(
+            f"coarsening must be 'train' or 'per_frame', got {coarsening!r}")

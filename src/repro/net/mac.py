@@ -9,7 +9,9 @@ The paper's design choices, reproduced:
   incomplete transmission, though this increases latency" — the TX path is
   store-and-forward and checks the pause state only between frames;
 * with flow control *disabled*, an overrun receiver **drops** frames (the
-  failure mode the ablation demonstrates).
+  failure mode the ablation demonstrates); with it enabled, an overrun
+  later than one pause reaction time after the XOFF raises
+  :class:`~repro.errors.FrameDropError`.
 
 Two MACs are joined with :meth:`EthernetMac.connect`; control frames travel
 the reverse direction of the data they regulate.
@@ -19,11 +21,12 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from ..errors import ConfigError, EthernetError
+from ..errors import ConfigError, EthernetError, FrameDropError
 from ..sim.core import Event, Simulator
 from ..sim.resources import Resource
 from ..units import KiB, ns_for_bytes
-from .frame import PAUSE_ETHERTYPE, EthernetFrame, pause_frame
+from .frame import (FRAME_OVERHEAD_BYTES, MAX_PAYLOAD_BYTES, PAUSE_ETHERTYPE,
+                    EthernetFrame, check_coarsening, pause_frame)
 
 __all__ = ["EthernetMac"]
 
@@ -42,10 +45,7 @@ class EthernetMac:
             raise ConfigError("rate must be > 0")
         if not 0 < pause_low_watermark < pause_high_watermark < 1:
             raise ConfigError("need 0 < low < high < 1 watermarks")
-        if coarsening not in ("train", "per_frame"):
-            raise ConfigError(
-                f"coarsening must be 'train' or 'per_frame', "
-                f"got {coarsening!r}")
+        check_coarsening(coarsening)
         self.sim = sim
         self.name = name
         self.rate_gbps = rate_gbps
@@ -74,6 +74,8 @@ class EthernetMac:
         self._rx_bytes = 0
         self._rx_kick = Event(sim)
         self._xoff_sent = False
+        #: when the outstanding XOFF was first sent (refreshes keep it)
+        self._xoff_at = 0
         #: bumped by every XOFF; a refresh carries the generation it was
         #: armed for and dies once a newer XOFF owns the refresh chain
         self._xoff_gen = 0
@@ -81,33 +83,17 @@ class EthernetMac:
         #: stalled for longer than one pause never sees its sender resume
         #: into a full FIFO (802.3x receivers refresh before expiry)
         self._xoff_refresh_ns = self.pause_quanta_ns(0xFFFF) // 2
-        #: quiescent-receiver fast path (DESIGN.md §11): a consumer may
-        #: register ``rx_sink(frame) -> bool`` to take delivery of a data
-        #: frame without the FIFO-append/kick/``recv`` machinery.  The
-        #: MAC offers a frame to the sink only while doing so is provably
-        #: invisible: the FIFO is empty, no XOFF is outstanding, and the
-        #: frame could not have tripped the high watermark in transit
-        #: through the FIFO.  A sink returning False declines and the
-        #: frame takes the ordinary FIFO path; sinks must preserve the
-        #: per-frame processing order themselves (the provided ones defer
-        #: their work to the exact scheduler slot the RX kick would have
-        #: occupied).
-        self.rx_sink = None
-        #: sync-capable receiver (DESIGN.md §11): True marks a MAC whose
-        #: consumer both sinks every data frame *and* tolerates arithmetic
-        #: upstream service (the switch gateway funnel).  ``rx_absorb`` is
-        #: the companion eager hook: ``rx_absorb(frame) -> bool`` may fully
-        #: account a frame at its *absorb* instant (before its physical
-        #: delivery time) when doing so is commutative; returning False
-        #: demands a real delivery event at the exact per-frame timestamp.
-        self.rx_sync = False
-        self.rx_absorb = None
-        #: optional per-frame veto for sync-capable receivers:
-        #: ``rx_veto(frame) -> True`` refuses arithmetic upstream service
-        #: for this frame class entirely (e.g. PUT data that must exercise
-        #: the real backpressure machinery); the funnel then hands the
-        #: port back to the classic path.
-        self.rx_veto = None
+        #: the consumer's receive interface (DESIGN.md §11.3), or None.
+        #: ``receiver.sink(frame) -> bool`` takes delivery of a data frame
+        #: without the FIFO-append/kick/``recv`` machinery, offered only
+        #: while that is provably invisible: the FIFO is empty, no XOFF is
+        #: outstanding, and the frame could not have tripped the high
+        #: watermark in transit.  Declining (False) sends the frame down
+        #: the FIFO path; a sink keeps per-frame processing order itself.
+        #: A receiver that accepts arithmetic upstream service (the switch
+        #: gateway funnel) also answers ``refuses(frame)`` and
+        #: ``absorb(frame)``.
+        self.receiver = None
         # counters
         self.tx_frames = 0
         self.rx_frames = 0
@@ -372,6 +358,7 @@ class EthernetMac:
     def _send_xoff(self) -> None:
         """Pause the peer and arm the first refresh of this XOFF."""
         self._xoff_sent = True
+        self._xoff_at = self.sim.now
         self._xoff_gen += 1
         self._send_control(0xFFFF)
         self.sim.schedule_call(self._xoff_refresh_ns, self._refresh_xoff,
@@ -383,6 +370,18 @@ class EthernetMac:
             return  # XON already sent, or a newer XOFF owns the chain
         self._send_control(0xFFFF)
         self.sim.schedule_call(self._xoff_refresh_ns, self._refresh_xoff, gen)
+
+    def _pause_reaction_ns(self) -> int:
+        """Longest an XOFF can take to stop data arriving here: its own
+        serialization and flight, then one max-size frame the peer had
+        already started (802.3x cannot pause it) and that frame's flight.
+        An overrun later than this is a lost frame flow control should
+        have prevented."""
+        peer = self.peer
+        return (ns_for_bytes(pause_frame(0xFFFF).wire_bytes, self.rate_gbps)
+                + self.propagation_ns + peer.propagation_ns
+                + ns_for_bytes(MAX_PAYLOAD_BYTES + FRAME_OVERHEAD_BYTES,
+                               peer.rate_gbps))
 
     def pause_quanta_ns(self, quanta: int) -> int:
         """Duration of *quanta* pause quanta (one quantum = 512 bit-times)."""
@@ -432,16 +431,24 @@ class EthernetMac:
             # pause the sender even if occupancy sits below the high
             # watermark (a single frame can jump from below-high to over
             # the cap, and the watermark check below is never reached on
-            # this path).
+            # this path).  Once the XOFF has had time to stop the sender,
+            # a drop is a bug, not congestion, unless a fault plan may
+            # have eaten the pause frame.
             self.dropped_frames += 1
-            if self.flow_control and not self._xoff_sent:
-                self._send_xoff()
+            if self.flow_control:
+                if not self._xoff_sent:
+                    self._send_xoff()
+                elif (self._fault_ctrl_site is None and self.sim.now
+                      > self._xoff_at + self._pause_reaction_ns()):
+                    raise FrameDropError(
+                        f"{self.name}: frame overran the RX FIFO "
+                        f"{self.sim.now - self._xoff_at} ns after XOFF")
             return
-        sink = self.rx_sink
-        if (sink is not None and not self._rx_frames and not self._xoff_sent
+        rcv = self.receiver
+        if (rcv is not None and not self._rx_frames and not self._xoff_sent
                 and (not self.flow_control
                      or rx_bytes + payload < self._high)
-                and sink(frame)):
+                and rcv.sink(frame)):
             # Consumed without touching the FIFO.  The guards above prove
             # the per-frame path would have appended and popped the frame
             # within this same instant with no watermark crossing, so the

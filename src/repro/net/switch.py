@@ -34,7 +34,7 @@ from ..errors import ConfigError, EthernetError, SimulationError
 from ..sim.core import Event, Simulator
 from ..sim.resources import Store
 from ..units import KiB, ns_for_bytes
-from .frame import EthernetFrame
+from .frame import EthernetFrame, check_coarsening
 from .mac import EthernetMac
 
 __all__ = ["EthernetSwitch"]
@@ -43,14 +43,14 @@ __all__ = ["EthernetSwitch"]
 class _IngressSink:
     """Quiescent-ingress fast path for one switch port (DESIGN.md §11).
 
-    Registered as the port MAC's ``rx_sink``: while the ingress engine is
-    parked on an empty FIFO, a delivered frame skips the FIFO append /
-    kick / ``recv`` resume and is instead routed and queued by a single
-    deferred call.  The call is scheduled with delay 0 at the instant the
-    kick would have been, so it runs in the *exact* scheduler slot where
-    the per-frame pop-and-put would have happened — same-timestamp
-    ordering against every other event (egress boundaries, other ports'
-    puts) is preserved bit-for-bit.
+    The port MAC's ``receiver``: while the ingress engine is parked on an
+    empty FIFO, a delivered frame skips the FIFO append / kick / ``recv``
+    resume and is instead routed and queued by a single deferred call.
+    The call is scheduled with delay 0 at the instant the kick would have
+    been, so it runs in the *exact* scheduler slot where the per-frame
+    pop-and-put would have happened — same-timestamp ordering against
+    every other event (egress boundaries, other ports' puts) is preserved
+    bit-for-bit.
 
     If the egress queue is full at fire time, the frame enters the
     queue's putter list right there (the same position the blocking
@@ -69,7 +69,7 @@ class _IngressSink:
         #: the per-call bound-method allocation is paid here instead
         self._fire = self._fire_impl
 
-    def __call__(self, frame: EthernetFrame) -> bool:
+    def sink(self, frame: EthernetFrame) -> bool:
         sw = self.switch
         i = self.port
         if not sw._parked[i]:
@@ -83,18 +83,8 @@ class _IngressSink:
         # take the classic deferred fire below, unchanged.
         dst = frame.meta.get("dst")
         out = sw._routes.get(dst, sw._default_route)
-        if out is not None and out != i:
-            relay = sw._relays[out]
-            if relay is None and not sw._relay_dead[out]:
-                relay = sw._relay_for(out)
-            if relay is not None and relay.relay(frame, dst):
-                return True
-            fun = sw._funnels[out]
-            if fun is None and not sw._funnel_dead[out]:
-                fun = sw._funnel_for(out)
-            if fun is not None and fun.absorb_now(frame):
-                return True
-        self._sim.schedule_call(0, self._fire, frame)
+        if out is None or out == i or not sw._fast_forward(frame, dst, out):
+            self._sim.schedule_call(0, self._fire, frame)
         return True
 
     def _fire_impl(self, frame: EthernetFrame) -> None:
@@ -134,7 +124,7 @@ class _IngressSink:
 
 
 class _GwFunnel:
-    """Arithmetic egress service for a sync-capable (gateway-facing) port.
+    """Arithmetic egress service for a gateway-facing port.
 
     DESIGN.md §11: the gateway funnel removes the last per-frame kernel
     events on the response path.  While the port is quiescent (TX not
@@ -146,7 +136,7 @@ class _GwFunnel:
     machinery produces for an uncontended FIFO port.
 
     Mid-stream response frames cost **zero** events: the receiver's
-    ``rx_absorb`` hook accounts them commutatively at the absorb instant,
+    ``absorb`` accounts them commutatively at the absorb instant,
     and all counters (tx_frames, forwarded_out, peer rx_frames) move
     eagerly — legal because nothing reads them between the absorb and
     the computed delivery instant.  Stream-completing frames and control-
@@ -155,9 +145,9 @@ class _GwFunnel:
     (placement release, latency record) runs in the same scheduler-slot
     pattern as the per-frame path.
 
-    Frames may be absorbed with *future* arrival times (the uplink relay
+    Frames may be placed with *future* arrival times (the uplink relay
     forwards a frame the moment it enters the leaf, spine arrival
-    precomputed).  An insertion that lands in front of already-absorbed
+    precomputed).  An insertion that lands in front of already-placed
     frames pushes their service later — never earlier — so shifted real
     deliveries are rescheduled and the stale calls self-identify by
     timestamp and fire as no-ops.
@@ -171,7 +161,7 @@ class _GwFunnel:
     compares fusing GET+PUT runs against the per-frame path.
     """
 
-    __slots__ = ("switch", "port", "tx", "peer", "prop", "cap",
+    __slots__ = ("switch", "port", "tx", "peer", "receiver", "prop", "cap",
                  "_sim", "_ser", "pend", "floor_end", "dead", "_n")
 
     # pend record layout: [key, frame, arrival_ns, ser_ns, end_ns, mode]
@@ -182,6 +172,7 @@ class _GwFunnel:
         self.port = port
         self.tx = switch.ports[port]
         self.peer = self.tx.peer
+        self.receiver = self.peer.receiver
         self.prop = self.tx.propagation_ns
         self.cap = switch._egress[port].capacity
         self._sim = switch.sim
@@ -191,45 +182,46 @@ class _GwFunnel:
         #: busy until here even when ``pend`` is empty)
         self.floor_end = 0
         self.dead = False
-        #: absorb counter — final tie-break of the insertion key
+        #: placement counter — final tie-break of the insertion key
         self._n = 0
 
     def absorb_now(self, frame: EthernetFrame) -> bool:
         """Absorb a frame that physically arrived at this switch now."""
         now = self._sim.now
-        self._n += 1
-        return self.absorb(frame, now, now, self._n)
+        return not self.refuses(frame) and self.place(frame, now, now)
 
-    def absorb(self, frame: EthernetFrame, arrival: int, start_hint: int,
-               order: int) -> bool:
-        """Absorb *frame* arriving (possibly in the future) at *arrival*.
+    def refuses(self, frame: EthernetFrame) -> bool:
+        """True when *frame* may not enter the schedule (the funnel dies).
+
+        The port must be quiescent and the receiver must accept
+        arithmetic service for this frame class.
+        """
+        if self.dead:
+            return True
+        peer = self.peer
+        if (self.tx._tx_paused or peer._rx_frames or peer._xoff_sent
+                or (peer.flow_control
+                    and peer._rx_bytes + frame.payload_bytes >= peer._high)
+                or self.receiver.refuses(frame)):
+            self._decline_or_fuse()
+            return True
+        return False
+
+    def place(self, frame: EthernetFrame, arrival: int,
+              start_hint: int) -> bool:
+        """Schedule *frame* arriving (possibly in the future) at *arrival*.
 
         The insertion key ``(arrival, start_hint, order)`` reproduces the
         per-frame put order: distinct arrivals queue in arrival order;
         same-instant arrivals order by the upstream serialization start
         that scheduled their delivery (lower event seq first), then by
-        absorb order.  Returns False when the caller must fall back to
-        the classic path (the funnel is then dead).
+        placement order.  Returns False when the caller must fall back
+        to the classic path (the funnel is then dead).
         """
-        if self.dead:
-            return False
-        tx = self.tx
-        peer = self.peer
-        pb = frame.payload_bytes
-        if (tx._tx_paused or peer._rx_frames or peer._xoff_sent
-                or (peer.flow_control
-                    and peer._rx_bytes + pb >= peer._high)):
-            return self._decline_or_fuse()
-        veto = peer.rx_veto
-        if veto is not None and veto(frame):
-            return self._decline_or_fuse()
         sim = self._sim
         now = sim.now
+        self._prune(now)
         pend = self.pend
-        while pend and pend[0][4] <= now:
-            end = pend.pop(0)[4]
-            if end > self.floor_end:
-                self.floor_end = end
         # Capacity fuse: frames resident in the virtual egress queue at
         # the arrival instant (arrived, service not yet started).  The
         # per-frame path would block the put here, stalling upstream —
@@ -238,21 +230,22 @@ class _GwFunnel:
         if pend and arrival < pend[-1][4] - pend[-1][3]:
             if not self._has_room(arrival):
                 return self._decline_or_fuse()
+        pb = frame.payload_bytes
         ser = self._ser.get(pb)
         if ser is None:
-            ser = ns_for_bytes(frame.wire_bytes, tx.rate_gbps)
+            ser = ns_for_bytes(frame.wire_bytes, self.tx.rate_gbps)
             self._ser[pb] = ser
-        key = (arrival, start_hint, order)
+        self._n += 1
+        key = (arrival, start_hint, self._n)
         idx = len(pend)
         while idx > 0 and pend[idx - 1][0] > key:
             idx -= 1
         prev_end = pend[idx - 1][4] if idx else self.floor_end
         start = prev_end if prev_end > arrival else arrival
         end = start + ser
-        hook = peer.rx_absorb
-        if hook is not None and hook(frame):
+        if self.receiver.absorb(frame):
             rec = [key, frame, arrival, ser, end, 0]
-            peer.rx_frames += 1
+            self.peer.rx_frames += 1
         else:
             rec = [key, frame, arrival, ser, end, 1]
             sim.schedule_call(end + self.prop - now, self._deliver, rec)
@@ -261,9 +254,17 @@ class _GwFunnel:
         else:
             pend.insert(idx, rec)
             self._shift_after(idx, end, now)
-        tx.tx_frames += 1
+        self.tx.tx_frames += 1
         self.switch.forwarded_out[self.port] += 1
         return True
+
+    def _prune(self, now: int) -> None:
+        """Drop records whose service ended by *now* into ``floor_end``."""
+        pend = self.pend
+        while pend and pend[0][4] <= now:
+            end = pend.pop(0)[4]
+            if end > self.floor_end:
+                self.floor_end = end
 
     def _has_room(self, arrival: int) -> bool:
         """Virtual-queue residency at the *arrival* instant vs capacity.
@@ -332,11 +333,8 @@ class _GwFunnel:
         sw._funnels[self.port] = None
         self.dead = True
         now = self._sim.now
+        self._prune(now)
         pend = self.pend
-        while pend and pend[0][4] <= now:
-            end = pend.pop(0)[4]
-            if end > self.floor_end:
-                self.floor_end = end
         if not pend and self.floor_end <= now:
             # No outstanding virtual state: exact hand-back — the chain
             # is still parked and owns the port from this instant.
@@ -344,10 +342,10 @@ class _GwFunnel:
         sw.funnel_fuses += 1
         # Best effort: committed deliveries keep their computed times;
         # the chain reclaims the port when the virtual schedule drains.
-        sw._chains[self.port].parked = False
+        chain = sw._chains[self.port]
+        chain.parked = False
         busy_until = pend[-1][4] if pend else self.floor_end
-        self._sim.schedule_call(busy_until - now, sw._release_port,
-                                self.port)
+        self._sim.schedule_call(busy_until - now, chain.take_next)
         return False
 
 
@@ -359,7 +357,7 @@ class _UplinkRelay:
     :class:`_GwFunnel`, the whole leaf hop can be computed instead of
     simulated.  The ingress fire absorbs the frame, advances an
     arithmetic uplink schedule (``start = max(cur_end, now)``,
-    ``end = start + ser``), and hands the frame to the downstream funnel
+    ``end = start + ser``), and places the frame in the downstream funnel
     with its future spine arrival ``end + prop`` — eliminating the leaf
     boundary, the leaf-to-spine delivery and the spine ingress fire.
     Uplink service is strictly FIFO in fire order, so a scalar
@@ -375,16 +373,16 @@ class _UplinkRelay:
 
     __slots__ = ("switch", "port", "tx", "peer", "psw", "pport", "prop",
                  "cap", "_sim", "_ser", "cur_end", "starts", "dead",
-                 "_lanes", "_parked", "_fwd")
+                 "_downstream", "_parked", "_fwd")
 
     def __init__(self, switch: "EthernetSwitch", port: int,
-                 psw: "EthernetSwitch", pport: int) -> None:
+                 ingress: _IngressSink) -> None:
         self.switch = switch
         self.port = port
         self.tx = switch.ports[port]
         self.peer = self.tx.peer          # spine-side ingress MAC
-        self.psw = psw
-        self.pport = pport
+        self.psw = ingress.switch
+        self.pport = ingress.port
         self.prop = self.tx.propagation_ns
         self.cap = switch._egress[port].capacity
         self._sim = switch.sim
@@ -394,21 +392,15 @@ class _UplinkRelay:
         #: service (the uplink queue residency, for the capacity fuse)
         self.starts: List[int] = []
         self.dead = False
-        #: dst -> cached lane tuple (see :meth:`_lane_for`); routes are
-        #: static, funnel death is permanent and re-checked per frame
-        self._lanes: Dict[object, tuple] = {}
+        #: dst -> downstream funnel; routes are static, and a funnel that
+        #: died refuses every later frame
+        self._downstream: Dict[object, _GwFunnel] = {}
         # init-once lists, cached off the hot path
-        self._parked = psw._parked
+        self._parked = self.psw._parked
         self._fwd = switch.forwarded_out
 
     def relay(self, frame: EthernetFrame, dst: object) -> bool:
-        """Absorb *frame* at its ingress-fire slot; False = classic path.
-
-        This is the per-frame hot lane of the whole fleet response path,
-        so the downstream :meth:`_GwFunnel.absorb` body is inlined here
-        (kept in lock-step with the canonical version) and the routing
-        double-hop is memoized per destination.
-        """
+        """Absorb *frame* at its ingress-fire slot; False = classic path."""
         if self.dead:
             return False
         tx = self.tx
@@ -419,27 +411,14 @@ class _UplinkRelay:
                 or (peer.flow_control
                     and peer._rx_bytes + pb >= peer._high)):
             return self._decline_or_fuse()
-        lane = self._lanes.get(dst)
-        if lane is None:
-            lane = self._lane_for(frame, dst)
-            if lane is None:
-                return self._decline_or_fuse()
-        (fun, gtx, gpeer, veto, hook, pend, fser, fprop, ffwd, fport,
-         fdeliver) = lane
-        if fun.dead:
+        fun = self._downstream.get(dst)
+        if fun is None:
+            fun = self._downstream_for(dst)
+        # the funnel's refusal comes before the uplink's own capacity
+        # check, so a refusing funnel and this relay die together
+        if fun is None or fun.refuses(frame):
             return self._decline_or_fuse()
-        # ---- downstream funnel disqualifiers (mirror of absorb()) ----
-        if (gtx._tx_paused or gpeer._rx_frames or gpeer._xoff_sent
-                or (gpeer.flow_control
-                    and gpeer._rx_bytes + pb >= gpeer._high)):
-            fun._decline_or_fuse()
-            return self._decline_or_fuse()
-        if veto is not None and veto(frame):
-            fun._decline_or_fuse()
-            return self._decline_or_fuse()
-        # ---- uplink arithmetic ----
-        sim = self._sim
-        now = sim.now
+        now = self._sim.now
         starts = self.starts
         while starts and starts[0] <= now:
             starts.pop(0)
@@ -452,42 +431,8 @@ class _UplinkRelay:
         cur = self.cur_end
         start = cur if cur > now else now
         end = start + ser
-        arrival = end + self.prop
-        # ---- inlined funnel service schedule (mirror of absorb()) ----
-        while pend and pend[0][4] <= now:
-            e = pend.pop(0)[4]
-            if e > fun.floor_end:
-                fun.floor_end = e
-        if pend and arrival < pend[-1][4] - pend[-1][3]:
-            if not fun._has_room(arrival):
-                fun._decline_or_fuse()
-                return self._decline_or_fuse()
-        gser = fser.get(pb)
-        if gser is None:
-            gser = ns_for_bytes(frame.wire_bytes, gtx.rate_gbps)
-            fser[pb] = gser
-        fun._n += 1
-        key = (arrival, start, fun._n)
-        idx = len(pend)
-        while idx > 0 and pend[idx - 1][0] > key:
-            idx -= 1
-        prev_end = pend[idx - 1][4] if idx else fun.floor_end
-        gstart = prev_end if prev_end > arrival else arrival
-        gend = gstart + gser
-        if hook is not None and hook(frame):
-            rec = [key, frame, arrival, gser, gend, 0]
-            gpeer.rx_frames += 1
-        else:
-            rec = [key, frame, arrival, gser, gend, 1]
-            sim.schedule_call(gend + fprop - now, fdeliver, rec)
-        if idx == len(pend):
-            pend.append(rec)
-        else:
-            pend.insert(idx, rec)
-            fun._shift_after(idx, gend, now)
-        gtx.tx_frames += 1
-        ffwd[fport] += 1
-        # ---- commit uplink state + leaf-side counters ----
+        if not fun.place(frame, end + self.prop, start):
+            return self._decline_or_fuse()
         self.cur_end = end
         if start > now:
             starts.append(start)
@@ -498,34 +443,18 @@ class _UplinkRelay:
         peer.rx_frames += 1
         return True
 
-    def _lane_for(self, frame: EthernetFrame,
-                  dst: object) -> Optional[tuple]:
-        """Resolve + memoize the downstream lane for *dst* (or None).
-
-        The lane tuple flattens every init-once attribute of the
-        downstream funnel (TX/peer MACs, their receive hooks, the pend
-        list, the ser memo, propagation, the forwarded ledger) so the
-        per-frame hot path above pays one dict hit instead of a chain of
-        attribute loads.  Mutable state (flags, watermarks, counters,
-        ``floor_end``) is still read through the objects each frame.
-        """
+    def _downstream_for(self, dst: object) -> Optional[_GwFunnel]:
+        """Resolve + memoize the downstream funnel for *dst* (or None)."""
         psw = self.psw
-        out2 = psw._routes.get(dst, psw._default_route)
-        if out2 is None or out2 == self.pport:
+        out = psw._routes.get(dst, psw._default_route)
+        if out is None or out == self.pport:
             return None
-        fun = psw._funnels[out2]
-        if fun is None:
-            if psw._funnel_dead[out2]:
-                return None
-            fun = psw._funnel_for(out2)
-            if fun is None:
-                return None
-        gpeer = fun.peer
-        lane = (fun, fun.tx, gpeer, gpeer.rx_veto, gpeer.rx_absorb,
-                fun.pend, fun._ser, fun.prop, fun.switch.forwarded_out,
-                fun.port, fun._deliver)
-        self._lanes[dst] = lane
-        return lane
+        fun = psw._funnels[out]
+        if fun is None and not psw._funnel_dead[out]:
+            fun = psw._funnel_for(out)
+        if fun is not None:
+            self._downstream[dst] = fun
+        return fun
 
     def _decline_or_fuse(self) -> bool:
         sw = self.switch
@@ -536,9 +465,9 @@ class _UplinkRelay:
         if self.cur_end <= now:
             return False
         sw.funnel_fuses += 1
-        sw._chains[self.port].parked = False
-        self._sim.schedule_call(self.cur_end - now, sw._release_port,
-                                self.port)
+        chain = sw._chains[self.port]
+        chain.parked = False
+        self._sim.schedule_call(self.cur_end - now, chain.take_next)
         return False
 
 
@@ -623,34 +552,34 @@ class _EgressChain:
         """Serialization of the current frame just finished."""
         i = self.port
         tx = self.tx
-        sim = self._sim
         tx.tx_frames += 1
         deliver = self._deliver
         if deliver is None:
             deliver = self._deliver = tx.peer._on_frame
-        sim.schedule_call(self._prop, deliver, self.frame)
-        in_transit = self._in_transit
-        in_transit[i] -= 1
+        self._sim.schedule_call(self._prop, deliver, self.frame)
+        self._in_transit[i] -= 1
         self._forwarded[i] += 1
+        self.take_next()
+
+    def take_next(self, _arg: object = None) -> None:
+        """Move on to the next queued frame, or park on an empty queue.
+
+        Runs at a frame boundary, and when a fused fast path hands the
+        port back once its virtual schedule has drained.
+        """
         ok, nxt = self.queue.try_get()
         if not ok:
             self.frame = None
             self.parked = True
             return
-        in_transit[i] += 1
-        if tx._tx_paused:
+        self._in_transit[self.port] += 1
+        if self.tx._tx_paused:
             # Hand the popped frame to the loop: per-frame send()
             # reproduces the pause spin (and tx_pause_ns) exactly.
             self.frame = None
             self.idle.succeed(nxt)
             return
-        self.frame = nxt
-        pb = nxt.payload_bytes
-        ser = self._ser.get(pb)
-        if ser is None:
-            ser = ns_for_bytes(nxt.wire_bytes, tx.rate_gbps)
-            self._ser[pb] = ser
-        sim.schedule_call(ser, self._tick)
+        self.begin_now(nxt)
 
 
 class EthernetSwitch:
@@ -665,10 +594,7 @@ class EthernetSwitch:
             raise ConfigError(f"a switch needs >= 2 ports, got {n_ports}")
         if egress_frames < 1:
             raise ConfigError("egress_frames must be >= 1")
-        if coarsening not in ("train", "per_frame"):
-            raise ConfigError(
-                f"coarsening must be 'train' or 'per_frame', "
-                f"got {coarsening!r}")
+        check_coarsening(coarsening)
         if port_rates is not None and len(port_rates) != n_ports:
             raise ConfigError(
                 f"port_rates has {len(port_rates)} entries for "
@@ -721,14 +647,9 @@ class EthernetSwitch:
         self._relay_dead: List[bool] = [not train] * n_ports
         #: funnel/relay teardowns that left outstanding virtual state
         self.funnel_fuses = 0
-        for i, port in enumerate(self.ports):
-            # backrefs let a neighbouring switch recognise this port as a
-            # relay target (and find the ingress it would have used)
-            port._switch = self
-            port._switch_port = i
         if train:
             for i, port in enumerate(self.ports):
-                port.rx_sink = _IngressSink(self, i)
+                port.receiver = _IngressSink(self, i)
                 self._chains[i] = _EgressChain(self, i)
 
     # ----------------------------------------------------------- back-compat
@@ -779,10 +700,12 @@ class EthernetSwitch:
         """Build (or permanently reject) the funnel for egress *out*."""
         chain = self._chains[out]
         tx = self.ports[out]
-        peer = tx.peer
+        # only a receiver that answers refuses/absorb takes arithmetic
+        # upstream service (DESIGN.md §11.3)
+        receiver = getattr(tx.peer, "receiver", None)
         if (chain is None or not chain.parked or len(self._egress[out])
                 or tx._fault_data_site is not None or tx._tx_paused
-                or peer is None or not peer.rx_sync):
+                or not hasattr(receiver, "refuses")):
             self._funnel_dead[out] = True
             return None
         fun = _GwFunnel(self, out)
@@ -793,29 +716,35 @@ class EthernetSwitch:
         """Build (or permanently reject) the uplink relay for egress *out*."""
         chain = self._chains[out]
         tx = self.ports[out]
-        peer = tx.peer
-        psw = getattr(peer, "_switch", None)
+        # the peer is a train-mode switch port exactly when its receiver
+        # is that switch's ingress sink
+        ingress = getattr(tx.peer, "receiver", None)
         if (chain is None or not chain.parked or len(self._egress[out])
                 or tx._fault_data_site is not None or tx._tx_paused
-                or psw is None or psw.coarsening != "train"):
+                or not isinstance(ingress, _IngressSink)):
             self._relay_dead[out] = True
             return None
-        relay = _UplinkRelay(self, out, psw, peer._switch_port)
+        relay = _UplinkRelay(self, out, ingress)
         self._relays[out] = relay
         return relay
 
-    def _release_port(self, port: int) -> None:
-        """Hand *port* back to its egress chain once a fuse has drained."""
-        chain = self._chains[port]
-        ok, nxt = chain.queue.try_get()
-        if not ok:
-            chain.parked = True
-            return
-        self._in_transit[port] += 1
-        if chain.tx._tx_paused:
-            chain.idle.succeed(nxt)
-            return
-        chain.begin_now(nxt)
+    def _fast_forward(self, frame: EthernetFrame, dst: object,
+                      out: int) -> bool:
+        """Hand *frame* to egress *out*'s relay or funnel; False = classic.
+
+        While an arithmetic fast path owns the egress, every frame must
+        flow through it — the classic chain's view of the port would
+        otherwise overlap the virtual schedule.
+        """
+        relay = self._relays[out]
+        if relay is None and not self._relay_dead[out]:
+            relay = self._relay_for(out)
+        if relay is not None and relay.relay(frame, dst):
+            return True
+        fun = self._funnels[out]
+        if fun is None and not self._funnel_dead[out]:
+            fun = self._funnel_for(out)
+        return fun is not None and fun.absorb_now(frame)
 
     # ------------------------------------------------------------ forwarding
     def start(self) -> None:
@@ -849,19 +778,7 @@ class EthernetSwitch:
                 continue
             frame = rx._recv_pop()
             out = self._route_for(frame, i)
-            # While an arithmetic fast path owns the egress, every frame
-            # must flow through it — the classic chain's view of the
-            # port would otherwise overlap the virtual schedule.
-            relay = self._relays[out]
-            if relay is None and not self._relay_dead[out]:
-                relay = self._relay_for(out)
-            if relay is not None and relay.relay(frame,
-                                                 frame.meta.get("dst")):
-                continue
-            fun = self._funnels[out]
-            if fun is None and not self._funnel_dead[out]:
-                fun = self._funnel_for(out)
-            if fun is not None and fun.absorb_now(frame):
+            if self._fast_forward(frame, frame.meta.get("dst"), out):
                 continue
             # A full egress queue blocks here; rx's FIFO then fills and
             # rx's own PAUSE stops the upstream sender (local pause

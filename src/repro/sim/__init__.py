@@ -2,7 +2,7 @@
 
 from .core import (CheckpointInfo, Condition, Event, Interrupt, Process,
                    Simulator, Timeout, TrainSchedule, drain_freelists)
-from .resources import Resource, Store, TokenBucket
+from .resources import Resource, Store
 from .snapshot import (Checkpoint, ScenarioEngine, fork_available,
                        fork_scenarios)
 from .stats import BandwidthMeter, LatencyCollector, Summary, summarize
@@ -11,6 +11,6 @@ __all__ = [
     "Condition", "Event", "Interrupt", "Process", "Simulator", "Timeout",
     "CheckpointInfo", "TrainSchedule", "drain_freelists",
     "Checkpoint", "ScenarioEngine", "fork_available", "fork_scenarios",
-    "Resource", "Store", "TokenBucket",
+    "Resource", "Store",
     "BandwidthMeter", "LatencyCollector", "Summary", "summarize",
 ]

@@ -4,19 +4,17 @@
   AXI4-Stream channels, NVMe queues, and Ethernet links).
 * :class:`Resource` — counting semaphore for exclusive/limited facilities
   (DMA ports, DRAM controller, PCIe tags).
-* :class:`TokenBucket` — byte-budget pacing used by rate-limited links.
 """
 
 from __future__ import annotations
 
-import math
 from collections import deque
-from typing import Any, Deque, Iterator, Optional, Tuple
+from typing import Any, Deque, Optional, Tuple
 
 from ..errors import SimulationError
 from .core import Event, Simulator, _scheduled_event
 
-__all__ = ["Store", "Resource", "TokenBucket"]
+__all__ = ["Store", "Resource"]
 
 
 class Store:
@@ -262,52 +260,3 @@ class Resource:
         """Deregister *fn* if it is still the active contention callback."""
         if self._contention_fn is fn:
             self._contention_fn = None
-
-
-class TokenBucket:
-    """Byte-budget pacer: ``consume(n)`` blocks until *n* tokens accrued.
-
-    Tokens accrue continuously at *rate_bytes_per_ns*; the bucket holds at
-    most *burst* tokens.  Used to model sustained-rate limits where the
-    fine-grained serialization model would be too slow.
-    """
-
-    def __init__(self, sim: Simulator, rate_gbps: float, burst: int,
-                 name: str = "") -> None:
-        if rate_gbps <= 0:
-            raise ValueError(f"rate must be > 0, got {rate_gbps}")
-        if burst < 1:
-            raise ValueError(f"burst must be >= 1, got {burst}")
-        self.sim = sim
-        self.rate = rate_gbps  # bytes per ns == GB/s
-        self.burst = burst
-        self.name = name
-        self._tokens = float(burst)
-        self._last = sim.now
-        self._lock = Resource(sim, 1, name=f"{name}.lock")
-
-    def _refill(self) -> None:
-        now = self.sim.now
-        self._tokens = min(self.burst, self._tokens + (now - self._last) * self.rate)
-        self._last = now
-
-    def consume(self, nbytes: int) -> Iterator[Event]:
-        """Process body: waits until *nbytes* tokens are available, then takes them."""
-        if nbytes < 0:
-            raise ValueError(f"nbytes must be >= 0, got {nbytes}")
-        yield self._lock.acquire()
-        try:
-            self._refill()
-            if self._tokens < nbytes:
-                deficit = nbytes - self._tokens
-                wait_ns = max(1, math.ceil(deficit / self.rate))
-                yield self.sim.timeout(wait_ns)
-                # Accrue without clamping to burst mid-deficit: the cap only
-                # applies to idle accumulation, otherwise a request larger
-                # than the burst would lose the tokens it just waited for.
-                self._tokens = min(max(self.burst, nbytes),
-                                   self._tokens + wait_ns * self.rate)
-                self._last = self.sim.now
-            self._tokens -= nbytes
-        finally:
-            self._lock.release()

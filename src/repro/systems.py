@@ -12,10 +12,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
-from .errors import ConfigError
 from .faults.plan import FaultConfig, FaultPlan
 from .mem.base import AddressRange
 from .mem.hostmem import HostDram, PinnedAllocator
+from .net.frame import check_coarsening
 from .nvme.device import NvmeDevice, NvmeDeviceConfig, build_nvme_device
 from .nvme.profiles import SsdPerfProfile
 from .pcie.iommu import Iommu
@@ -52,10 +52,7 @@ class HostSystemConfig:
     coarsening: str = "train"
 
     def __post_init__(self) -> None:
-        if self.coarsening not in ("train", "per_frame"):
-            raise ConfigError(
-                f"coarsening must be 'train' or 'per_frame', "
-                f"got {self.coarsening!r}")
+        check_coarsening(self.coarsening)
 
     def with_profile(self, profile: SsdPerfProfile) -> "HostSystemConfig":
         """Copy of this config with a different SSD perf profile."""

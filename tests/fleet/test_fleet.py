@@ -3,7 +3,9 @@
 import pytest
 
 from repro.errors import ConfigError
-from repro.fleet import FleetConfig, FleetWorkload, run_fleet, run_incast
+from repro.fleet import (FleetConfig, FleetWorkload, build_fleet,
+                         generate_requests, run_fleet, run_incast)
+from repro.sim import Simulator
 from repro.units import KiB, MiB
 
 SMALL = FleetWorkload(n_objects=64, n_requests=80,
@@ -87,3 +89,53 @@ class TestRunIncast:
     def test_invalid_put_bytes_rejected(self):
         with pytest.raises(ConfigError):
             run_incast(FleetConfig(n_nodes=1), put_bytes=0)
+
+
+class TestTrainKernelCost:
+    """Exact kernel cost of the frame-train fast path (DESIGN.md §11).
+
+    ``sim.quiesce().events`` counts every event the kernel scheduled, so
+    a ``net/`` refactor that adds or drops a single event on the train
+    path fails here, even when every result row stays the same.  Each
+    cell also checks that the path it pins is the one that ran: uplink
+    relays and gateway funnels engaged, and no fuse.
+    """
+
+    @staticmethod
+    def _run(config, drive):
+        sim = Simulator()
+        fleet = build_fleet(sim, config)
+        fleet.start()
+        drive(sim, fleet)
+        sim.run()
+        switches = [fleet.spine] + fleet.leaves
+        assert [sw.funnel_fuses for sw in switches] == [0] * len(switches)
+        return sim.quiesce().events, fleet
+
+    def test_get_cell(self):
+        def drive(sim, fleet):
+            requests = generate_requests(SMALL)
+            fleet.meter.mark_start(requests[0].issue_ns)
+            gateways = fleet.gateways
+            for g, gateway in enumerate(gateways):
+                gateway.start(requests[g::len(gateways)])
+
+        events, fleet = self._run(
+            FleetConfig(n_nodes=4, nodes_per_leaf=2), drive)
+        assert all(any(r is not None for r in leaf._relays)
+                   for leaf in fleet.leaves)
+        assert any(f is not None for f in fleet.spine._funnels)
+        assert fleet.result(offered=80).completed == 80
+        assert events == 1977
+
+    def test_incast_cell(self):
+        def drive(sim, fleet):
+            fleet.meter.mark_start(0)
+            for stream, gateway in enumerate(fleet.gateways):
+                gateway.start_collector()
+                _ = sim.process(gateway.put("n0", stream, 512 * KiB))
+
+        events, fleet = self._run(FleetConfig(n_nodes=1, n_gateways=3), drive)
+        result = fleet.result(offered=3)
+        assert result.completed == 3 and result.spine_pause_frames > 0
+        assert events == 2130

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.errors import ConfigError, EthernetError
+from repro.errors import (ConfigError, EthernetError, FrameDropError,
+                          SimulationError)
 from repro.net import (EthernetFrame, EthernetMac, EthernetSwitch,
                        FrameStreamSource, pause_frame)
 from repro.sim import Simulator
@@ -148,6 +149,40 @@ class TestFlowControl:
         sim.run_until(done)
         assert b.dropped_frames == 0
         assert received == list(range(n))
+
+    @pytest.mark.parametrize("coarsening", ["train", "per_frame"])
+    def test_loss_after_xoff_is_loud(self, sim, coarsening):
+        """A flow-controlled drop after the XOFF took effect raises.
+
+        With the XOFF refresh taken out, the stalled consumer's sender
+        resumes once the pause runs out and overruns the full FIFO: that
+        frame must fail where it is lost.
+        """
+
+        class OneShotXoffMac(EthernetMac):
+            def _refresh_xoff(self, gen):
+                return
+
+        a = EthernetMac(sim, name="a", coarsening=coarsening)
+        b = OneShotXoffMac(sim, name="b", rx_fifo_bytes=64 * KiB,
+                           coarsening=coarsening)
+        a.connect(b)
+
+        def sender():
+            yield from a.send_train([EthernetFrame(payload_bytes=8192)
+                                     for _ in range(200)])
+
+        def stalled_consumer():
+            yield sim.timeout(2 * b.pause_quanta_ns(0xFFFF))
+            while True:
+                yield from b.recv()
+
+        _ = sim.process(sender())
+        done = sim.process(stalled_consumer())
+        with pytest.raises(SimulationError) as info:
+            sim.run_until(done)
+        assert isinstance(info.value.__cause__, FrameDropError)
+        assert b.pause_quanta_ns(0xFFFF) < sim.now - b._xoff_at < 340_000
 
     def test_loss_without_flow_control(self, sim):
         """Ablation A7: same workload, flow control off -> drops."""

@@ -1,11 +1,11 @@
-"""Store / Resource / TokenBucket semantics."""
+"""Store / Resource semantics."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import SimulationError
-from repro.sim import Resource, Simulator, Store, TokenBucket
+from repro.sim import Resource, Simulator, Store
 
 
 class TestStoreFifo:
@@ -197,43 +197,3 @@ class TestResource:
         _ = sim.process(checker())
         sim.run()
         assert res.in_use == 0
-
-
-class TestTokenBucket:
-    def test_burst_passes_instantly(self, sim):
-        tb = TokenBucket(sim, rate_gbps=1.0, burst=1000)
-        times = []
-
-        def body():
-            yield from tb.consume(1000)
-            times.append(sim.now)
-
-        _ = sim.process(body())
-        sim.run()
-        assert times == [0]
-
-    def test_sustained_rate_enforced(self, sim):
-        tb = TokenBucket(sim, rate_gbps=1.0, burst=100)
-        done = []
-
-        def body():
-            total = 0
-            for _ in range(10):
-                yield from tb.consume(1000)
-                total += 1000
-            done.append((sim.now, total))
-
-        _ = sim.process(body())
-        sim.run()
-        t, total = done[0]
-        achieved = total / t  # bytes/ns == GB/s
-        # Over any window of length t, a token bucket admits at most
-        # rate*t + burst bytes.
-        assert achieved <= 1.0 + 100 / t + 1e-9
-        assert achieved >= 0.8  # not pathologically slow either
-
-    def test_invalid_params(self, sim):
-        with pytest.raises(ValueError):
-            TokenBucket(sim, rate_gbps=0, burst=1)
-        with pytest.raises(ValueError):
-            TokenBucket(sim, rate_gbps=1, burst=0)
