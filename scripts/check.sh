@@ -4,7 +4,8 @@
 #   ./scripts/check.sh
 #
 # snacclint (python -m repro.analysis) is always run — it has no
-# third-party dependencies.  ruff and mypy run when installed (pip
+# third-party dependencies, and it checks only what the kernel cannot
+# reject at runtime (DESIGN.md §8).  ruff and mypy run when installed (pip
 # install -e '.[lint]') and are skipped with a notice otherwise, so the
 # gate works in minimal containers.  The perf gate compares the kernel
 # microbenchmark against the committed BENCH_sim_kernel.json: event-count
@@ -23,10 +24,11 @@ export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
 status=0
 
 echo "== snacclint (python -m repro.analysis) =="
-# Hard gate: per-file rules SIM001-SIM005 + SIM011 + whole-program
-# rules SIM006-SIM010, fanned over 4 workers with the incremental cache.
-# Emits the machine-readable findings artifact (snacclint.json) and
-# enforces the suppression-debt ratchet against the checked-in baseline.
+# Hard gate: per-file rules SIM001, SIM002, SIM004, SIM011 + whole-program
+# rules SIM006-SIM010, the per-file pass fanned over 4 workers (a cold run
+# takes about half the serial time).  Emits the machine-readable findings
+# artifact (snacclint.json) and enforces the suppression-debt ratchet
+# against the checked-in baseline.
 python -m repro.analysis src tests examples scripts \
     --jobs 4 \
     --output snacclint.json \

@@ -14,11 +14,10 @@ from .baseline import check_ratchet, load_baseline, write_baseline
 from .engine import (
     all_program_rules,
     all_rules,
-    analyze_paths_report,
+    analyze_paths,
     render_json,
     render_text,
 )
-from .incremental import DEFAULT_CACHE_NAME, AnalysisCache
 
 
 def _split_ids(values: Optional[List[str]]) -> Optional[List[str]]:
@@ -35,8 +34,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.analysis",
         description="snacclint: simulation-hazard static analyzer "
-                    "(per-file rules SIM001-SIM005, whole-program rules "
-                    "SIM006-SIM010)",
+                    "(per-file rules SIM001, SIM002, SIM004, SIM011; "
+                    "whole-program rules SIM006-SIM010)",
     )
     parser.add_argument("paths", nargs="*",
                         help="files or directories to analyze")
@@ -57,12 +56,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument("--write-baseline", metavar="FILE",
                         help="record the current suppression count in FILE "
                              "and exit (ratchet bookkeeping)")
-    parser.add_argument("--no-incremental", action="store_true",
-                        help="disable the per-file analysis cache")
-    parser.add_argument("--cache-file", default=DEFAULT_CACHE_NAME,
-                        metavar="FILE",
-                        help=f"analysis cache location "
-                             f"(default: {DEFAULT_CACHE_NAME})")
     parser.add_argument("--list-rules", action="store_true",
                         help="print the rule table and exit")
     args = parser.parse_args(argv)
@@ -80,14 +73,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print("error: --jobs must be >= 1", file=sys.stderr)
         return 2
 
-    cache = None if args.no_incremental else AnalysisCache(args.cache_file)
     try:
-        report = analyze_paths_report(
+        report = analyze_paths(
             args.paths,
             select=_split_ids(args.select),
             ignore=_split_ids(args.ignore),
             jobs=args.jobs,
-            cache=cache,
         )
     except ValueError as exc:  # unknown rule id in --select/--ignore
         print(f"error: {exc}", file=sys.stderr)

@@ -1,10 +1,10 @@
 """snacclint engine: AST-based static analysis for simulation hazards.
 
 The discrete-event kernel (:mod:`repro.sim.core`) has a correctness contract
-that Python cannot enforce at definition time:
+that Python cannot enforce at definition time, and that the kernel itself
+does not check at runtime (it does reject a float delay or ``until`` and a
+process yielding a non-Event, so no rule duplicates those):
 
-* the clock is an **integer** count of nanoseconds — a ``float`` delay
-  silently breaks cycle accuracy;
 * every :class:`~repro.sim.core.Event` minted by a factory
   (``sim.timeout`` / ``sim.event`` / ``sim.process`` / ``sim.all_of`` /
   ``sim.any_of``) must be yielded, bound, or passed on — a discarded
@@ -69,7 +69,6 @@ __all__ = [
     "analyze_source",
     "analyze_sources",
     "analyze_paths",
-    "analyze_paths_report",
     "iter_python_files",
     "render_text",
     "render_json",
@@ -242,8 +241,6 @@ class Module:
         self._imports: Dict[str, str] = {}
         #: function/method name -> FunctionDef for every generator function
         self._generator_functions: Dict[str, ast.FunctionDef] = {}
-        #: names of generator functions registered via ``sim.process(...)``
-        self._registered_processes: Set[str] = set()
         self._build_context()
 
     # -- construction ---------------------------------------------------------
@@ -331,11 +328,6 @@ class Module:
                 self._generator_functions.setdefault(node.name, node)
             elif isinstance(node, ast.Assign):
                 self._record_assignment(node)
-        # Second pass (needs factory aliases): which generators are actually
-        # registered as processes somewhere in this module?
-        for node in ast.walk(self.tree):
-            if isinstance(node, ast.Call) and self.factory_of(node) == "process":
-                self._record_process_registration(node)
 
     def _index_scopes(self, node: ast.AST, scope: ast.AST) -> None:
         for child in ast.iter_child_nodes(node):
@@ -378,29 +370,11 @@ class Module:
         elif self.is_sim_expr(value, scope):
             self._sim_names.setdefault(id(scope), set()).add(name)
 
-    def _record_process_registration(self, call: ast.Call) -> None:
-        if not call.args:
-            return
-        arg = call.args[0]
-        if isinstance(arg, ast.Call):
-            target = arg.func
-        else:
-            target = arg
-        if isinstance(target, ast.Name):
-            self._registered_processes.add(target.id)
-        elif isinstance(target, ast.Attribute):
-            self._registered_processes.add(target.attr)
-
     # -- queries ---------------------------------------------------------------
     @property
     def generator_functions(self) -> Dict[str, ast.FunctionDef]:
         """Every generator function/method defined in this module, by name."""
         return self._generator_functions
-
-    @property
-    def registered_processes(self) -> Set[str]:
-        """Names of generators passed to ``sim.process(...)`` in this module."""
-        return self._registered_processes
 
     @property
     def line_suppressions(self) -> Dict[int, Optional[Set[str]]]:
@@ -505,8 +479,6 @@ class Report:
     suppressed_findings: int = 0
     #: total ``snacclint: disable`` comments seen — the ratchet metric
     suppression_comments: int = 0
-    #: files served from the incremental cache without re-analysis
-    cache_hits: int = 0
 
 
 def _split_selection(
@@ -575,12 +547,11 @@ def _pool_worker(args: Tuple[str, Tuple[str, ...]]):
     try:
         source = Path(path).read_text(encoding="utf-8")
         kept, suppressed, summary = _analyze_module(path, source, per_file_ids)
-        return (path, kept, suppressed, summary, None)
+        return (kept, suppressed, summary, None)
     except SyntaxError as exc:
-        return (path, [], 0, None,
-                f"{path}:{exc.lineno or 0}: syntax error: {exc.msg}")
+        return ([], 0, None, f"{path}:{exc.lineno or 0}: syntax error: {exc.msg}")
     except OSError as exc:
-        return (path, [], 0, None, f"{path}: {exc}")
+        return ([], 0, None, f"{path}: {exc}")
 
 
 def _run_program_rules(
@@ -589,7 +560,7 @@ def _run_program_rules(
     """(kept findings, suppressed count) for the whole-program pass."""
     from .program import Program
 
-    program = Program([s for s in summaries if s is not None])
+    program = Program(summaries)
     rules = all_program_rules()
     kept: List[Finding] = []
     suppressed = 0
@@ -661,33 +632,12 @@ def analyze_paths(
     select: Optional[Iterable[str]] = None,
     ignore: Optional[Iterable[str]] = None,
     jobs: int = 1,
-    cache=None,
-) -> Tuple[List[Finding], List[str], int]:
-    """Analyze every Python file under *paths* (both rule passes).
-
-    Returns ``(findings, errors, files_analyzed)`` where *errors* are
-    human-readable parse/IO failures (CLI exit code 2 when non-empty).
-    Thin compatibility wrapper around :func:`analyze_paths_report`.
-    """
-    report = analyze_paths_report(paths, select=select, ignore=ignore,
-                                  jobs=jobs, cache=cache)
-    return report.findings, report.errors, report.files_analyzed
-
-
-def analyze_paths_report(
-    paths: Sequence[str],
-    select: Optional[Iterable[str]] = None,
-    ignore: Optional[Iterable[str]] = None,
-    jobs: int = 1,
-    cache=None,
 ) -> Report:
     """Full analysis of *paths*: per-file pass, then whole-program pass.
 
     *jobs* > 1 fans the per-file pass out over a process pool; results are
     merged in path order so the output is byte-identical to a serial run.
-    *cache* (an :class:`~repro.analysis.incremental.AnalysisCache`) skips
-    re-analysis of files whose content hash is unchanged; the program pass
-    itself is cached keyed on the hash of every file in the run.
+    Parse/IO failures land in ``Report.errors`` (CLI exit code 2).
     """
     per_file_ids, program_ids = _split_selection(select, ignore)
     try:
@@ -695,79 +645,36 @@ def analyze_paths_report(
     except FileNotFoundError as exc:
         return Report(findings=[], errors=[str(exc)], files_analyzed=0)
 
-    errors: Dict[str, str] = {}
-    findings_by_path: Dict[str, List[Finding]] = {}
-    summaries_by_path: Dict[str, object] = {}
-    suppressed = 0
-    cache_hits = 0
-
-    pending: List[str] = []
-    for path in files:
-        hit = cache.lookup_file(path, per_file_ids) if cache is not None else None
-        if hit is not None:
-            file_findings, file_suppressed, summary = hit
-            findings_by_path[path] = file_findings
-            summaries_by_path[path] = summary
-            suppressed += file_suppressed
-            cache_hits += 1
-        else:
-            pending.append(path)
-
-    def record(path, kept, file_suppressed, summary, error):
-        nonlocal suppressed
-        if error is not None:
-            errors[path] = error
-            return
-        findings_by_path[path] = kept
-        summaries_by_path[path] = summary
-        suppressed += file_suppressed
-        if cache is not None:
-            cache.store_file(path, per_file_ids, kept, file_suppressed, summary)
-
-    if jobs > 1 and len(pending) > 1:
+    work = [(path, tuple(per_file_ids)) for path in files]
+    if jobs > 1 and len(files) > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        work = [(path, tuple(per_file_ids)) for path in pending]
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for path, kept, file_suppressed, summary, error in pool.map(
-                    _pool_worker, work):
-                record(path, kept, file_suppressed, summary, error)
+            results = list(pool.map(_pool_worker, work))
     else:
-        for path in pending:
-            path, kept, file_suppressed, summary, error = _pool_worker(
-                (path, tuple(per_file_ids)))
-            record(path, kept, file_suppressed, summary, error)
+        results = [_pool_worker(item) for item in work]
 
-    # Deterministic merge: path order regardless of worker completion order.
+    # pool.map keeps input order, so the merge is path-ordered either way.
     findings: List[Finding] = []
-    for path in files:
-        findings.extend(findings_by_path.get(path, ()))
-    summaries = [summaries_by_path[p] for p in files if p in summaries_by_path]
+    errors: List[str] = []
+    summaries = []
+    suppressed = 0
+    for kept, file_suppressed, summary, error in results:
+        if error is not None:
+            errors.append(error)
+            continue
+        findings.extend(kept)
+        summaries.append(summary)
+        suppressed += file_suppressed
 
-    prog_cached = (cache.lookup_program(summaries_by_path, program_ids)
-                   if cache is not None else None)
-    if prog_cached is not None:
-        prog_findings, prog_suppressed = prog_cached
-    else:
-        prog_findings, prog_suppressed = _run_program_rules(
-            summaries, program_ids)
-        if cache is not None:
-            cache.store_program(summaries_by_path, program_ids,
-                                prog_findings, prog_suppressed)
+    prog_findings, prog_suppressed = _run_program_rules(summaries, program_ids)
     findings.extend(prog_findings)
-    suppressed += prog_suppressed
-
-    suppression_comments = sum(
-        getattr(s, "suppression_comments", 0) for s in summaries)
-    if cache is not None:
-        cache.save()
     return Report(
         findings=sorted(findings),
-        errors=[errors[p] for p in files if p in errors],
+        errors=errors,
         files_analyzed=len(files),
-        suppressed_findings=suppressed,
-        suppression_comments=suppression_comments,
-        cache_hits=cache_hits,
+        suppressed_findings=suppressed + prog_suppressed,
+        suppression_comments=sum(s.suppression_comments for s in summaries),
     )
 
 
@@ -789,8 +696,8 @@ def render_json(
     """Machine-readable report (stable shape, see README).
 
     Version 2 adds the suppression-debt counters (``suppressed_findings``,
-    ``suppression_comments``) and ``cache_hits`` when a full
-    :class:`Report` is available; the v1 keys are unchanged.
+    ``suppression_comments``) when a full :class:`Report` is available;
+    the v1 keys are unchanged.
     """
     doc: Dict[str, object] = {
         "version": 2,
@@ -801,5 +708,4 @@ def render_json(
     if report is not None:
         doc["suppressed_findings"] = report.suppressed_findings
         doc["suppression_comments"] = report.suppression_comments
-        doc["cache_hits"] = report.cache_hits
     return json.dumps(doc, indent=2)

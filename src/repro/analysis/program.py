@@ -1,31 +1,30 @@
 """Whole-program layer: per-module summaries and the cross-module graphs.
 
-The per-file rules (SIM001-SIM005) see one AST at a time; the hazards
-that actually bite at system scale — a process parked on an event whose
-setter lives in a module nobody imports anymore, bench jobs silently
-sharing a module-level dict across pool workers, job code reading inputs
-the result cache never fingerprints — are only visible to a pass that
-sees the *project*.
+The per-file rules (SIM001, SIM002, SIM004, SIM011) see one AST at a
+time; the hazards that actually bite at system scale — a process parked
+on an event whose setter lives in a module nobody imports anymore, bench
+jobs silently sharing a module-level dict across pool workers, job code
+reading inputs the result cache never fingerprints — are only visible to
+a pass that sees the *project*.
 
-The design splits that pass in two so the incremental cache stays sound:
+The design splits that pass in two so the per-file half fans out over
+worker processes (``--jobs``):
 
 ``summarize``
     extracts a :class:`ModuleSummary` from one parsed
     :class:`~repro.analysis.engine.Module`.  A summary is a plain,
-    JSON-serializable record of everything the whole-program rules need
-    to know about the file — resolved imports, the generator/process
-    table, every event mint / wait / setter / escape site, module-level
-    mutable state, IO-read sites, and unit-tagged call shapes.  Summaries
-    depend only on the file's own text, so they are cached per file by
-    content hash.
+    picklable record of everything the whole-program rules need to know
+    about the file — resolved imports, the function table, every event
+    mint / wait / setter / escape site, module-level mutable state,
+    IO-read sites, and unit-tagged call shapes.  Summaries depend only on
+    the file's own text.
 
 :class:`Program`
     combines the summaries of every analyzed file into the project-wide
     symbol table, the import graph (absolute *and* relative imports
     resolved against derived dotted module names), and the event-flow /
     call-graph queries the SIM006-SIM010 rules run on.  Building it from
-    summaries is O(project) string work — no re-parsing — so the graphs
-    are effectively free to rebuild whenever any file changed.
+    summaries is O(project) string work — no re-parsing.
 
 Event-flow model
 ----------------
@@ -49,7 +48,7 @@ from __future__ import annotations
 import ast
 import dataclasses
 from pathlib import PurePosixPath
-from typing import Any, Dict, FrozenSet, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Set, Tuple
 
 from .engine import Module
 
@@ -151,18 +150,6 @@ class FunctionInfo:
     #: bare event waits: ``yield name`` / ``yield obj.attr`` — (key, line, col)
     bare_waits: List[Tuple[str, int, int]]
 
-    def to_dict(self) -> Dict[str, Any]:
-        return dataclasses.asdict(self)
-
-    @staticmethod
-    def from_dict(doc: Dict[str, Any]) -> "FunctionInfo":
-        return FunctionInfo(
-            name=doc["name"], qualname=doc["qualname"],
-            class_name=doc["class_name"], params=list(doc["params"]),
-            is_generator=doc["is_generator"], lineno=doc["lineno"],
-            bare_waits=[tuple(w) for w in doc["bare_waits"]],  # type: ignore[misc]
-        )
-
 
 @dataclasses.dataclass
 class TaggedCall:
@@ -176,25 +163,12 @@ class TaggedCall:
     line: int
     col: int
 
-    def to_dict(self) -> Dict[str, Any]:
-        return dataclasses.asdict(self)
-
-    @staticmethod
-    def from_dict(doc: Dict[str, Any]) -> "TaggedCall":
-        return TaggedCall(
-            callee_kind=doc["callee_kind"], callee=doc["callee"],
-            factory=doc["factory"], arg_tags=list(doc["arg_tags"]),
-            kwarg_tags=[tuple(kw) for kw in doc["kwarg_tags"]],  # type: ignore[misc]
-            line=doc["line"], col=doc["col"],
-        )
-
 
 @dataclasses.dataclass
 class ModuleSummary:
     """Everything the whole-program rules need to know about one file.
 
-    Plain data, JSON-round-trippable via :meth:`to_dict`/:meth:`from_dict`
-    so the incremental cache can persist it per content hash.
+    Plain data, so a worker process can hand it back to the driver.
     """
 
     path: str
@@ -220,42 +194,6 @@ class ModuleSummary:
             return True
         ids = self.line_suppress.get(line, ())
         return ids is None or rule_id in ids
-
-    def to_dict(self) -> Dict[str, Any]:
-        doc = dataclasses.asdict(self)
-        doc["functions"] = [f.to_dict() for f in self.functions]
-        doc["tagged_calls"] = [c.to_dict() for c in self.tagged_calls]
-        # JSON object keys are strings; store line numbers as such.
-        doc["line_suppress"] = {
-            str(line): (None if ids is None else sorted(ids))
-            for line, ids in self.line_suppress.items()
-        }
-        return doc
-
-    @staticmethod
-    def from_dict(doc: Dict[str, Any]) -> "ModuleSummary":
-        return ModuleSummary(
-            path=doc["path"],
-            module=doc["module"],
-            imports=list(doc["imports"]),
-            functions=[FunctionInfo.from_dict(f) for f in doc["functions"]],
-            attr_mints=[tuple(m) for m in doc["attr_mints"]],  # type: ignore[misc]
-            attr_waits=[tuple(w) for w in doc["attr_waits"]],  # type: ignore[misc]
-            attr_settable=list(doc["attr_settable"]),
-            local_deadlocks=[tuple(d) for d in doc["local_deadlocks"]],  # type: ignore[misc]
-            mutable_globals=[tuple(g) for g in doc["mutable_globals"]],  # type: ignore[misc]
-            mutated_globals=list(doc["mutated_globals"]),
-            io_reads=[tuple(r) for r in doc["io_reads"]],  # type: ignore[misc]
-            job_root=doc["job_root"],
-            tagged_calls=[TaggedCall.from_dict(c) for c in doc["tagged_calls"]],
-            line_suppress={
-                int(line): (None if ids is None else list(ids))
-                for line, ids in doc["line_suppress"].items()
-            },
-            file_suppress=(None if doc["file_suppress"] is None
-                           else list(doc["file_suppress"])),
-            suppression_comments=doc["suppression_comments"],
-        )
 
 
 # ------------------------------------------------------------- summarization
@@ -693,8 +631,7 @@ class Program:
     """The project-wide view: symbol table, import graph, event-flow sets.
 
     Built purely from :class:`ModuleSummary` records — cheap enough to
-    rebuild on every run; the expensive per-file extraction is what the
-    incremental cache amortizes.
+    rebuild on every run; the expensive part is the per-file extraction.
     """
 
     def __init__(self, summaries: Sequence[ModuleSummary]):
@@ -727,10 +664,6 @@ class Program:
                 self._functions_by_name.setdefault(info.name, []).append(info)
 
     # ------------------------------------------------------------- queries
-    def import_edges(self, module: str) -> Set[str]:
-        """Modules (in the program) that *module* imports."""
-        return self._edges.get(module, set())
-
     def reachable_from(self, roots: Sequence[str]) -> Set[str]:
         """Transitive import closure of *roots* (roots included)."""
         seen: Set[str] = set()
@@ -755,9 +688,3 @@ class Program:
         """(path, line) of every mint of attribute-key *key*."""
         return [(s.path, line) for s in self.summaries
                 for k, line in s.attr_mints if k == key]
-
-    def import_graph_key(self) -> str:
-        """Stable digest input describing the import graph shape."""
-        parts = [f"{module}>{','.join(sorted(edges))}"
-                 for module, edges in sorted(self._edges.items())]
-        return ";".join(parts)

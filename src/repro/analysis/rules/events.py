@@ -1,8 +1,9 @@
-"""Event-lifecycle rules: SIM001, SIM002, SIM005.
+"""Event-lifecycle rules: SIM001, SIM002.
 
 These guard the generator-process contract of :mod:`repro.sim.core`:
-every event minted must be consumed, every process generator must be
-registered, and a process may only ever yield :class:`Event` objects.
+every event minted must be consumed and every process generator must be
+registered.  (A process yielding a non-Event needs no rule: the kernel
+fails it with :class:`~repro.errors.SimulationError` on the spot.)
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from typing import Iterator, Optional
 
 from ..engine import Finding, Module, Rule, register
 
-__all__ = ["UnconsumedEvent", "UnregisteredGenerator", "YieldNonEvent"]
+__all__ = ["UnconsumedEvent", "UnregisteredGenerator"]
 
 
 def _call_target_name(call: ast.Call) -> Optional[str]:
@@ -88,60 +89,3 @@ class UnregisteredGenerator(Rule):
                 f"generator function {name!r} called as a statement; nothing "
                 f"runs — register it with sim.process({name}(...)) or "
                 f"iterate it")
-
-
-#: ``yield`` value node types that can never evaluate to an Event.
-_NEVER_EVENT = (
-    ast.JoinedStr, ast.List, ast.Tuple, ast.Set, ast.Dict,
-    ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp,
-    ast.BinOp, ast.UnaryOp, ast.BoolOp, ast.Compare, ast.Lambda,
-)
-
-
-@register
-class YieldNonEvent(Rule):
-    """SIM005: a simulation process yields something that is not an Event.
-
-    At runtime this kills the process with a :class:`SimulationError`; the
-    static check catches it before a single run.  Only generators that are
-    demonstrably sim processes are examined: those registered via
-    ``sim.process(...)`` in the same module, or those that yield at least
-    one sim-factory call themselves.
-    """
-
-    id = "SIM005"
-    title = "yield of a non-Event in a process"
-    hazard = ("a process yielding a non-Event crashes at runtime with "
-              "SimulationError; catch it statically instead")
-
-    def check(self, module: Module) -> Iterator[Finding]:
-        for name, fn in module.generator_functions.items():
-            if not self._is_sim_process(module, name, fn):
-                continue
-            for node in Module._walk_same_function(fn):
-                if not isinstance(node, ast.Yield):
-                    continue
-                value = node.value
-                if value is None:
-                    yield self.finding(
-                        module, node,
-                        f"bare `yield` in process {name!r} yields None, "
-                        f"which is not an Event")
-                elif isinstance(value, _NEVER_EVENT) or (
-                        isinstance(value, ast.Constant)):
-                    label = type(value).__name__
-                    yield self.finding(
-                        module, node,
-                        f"process {name!r} yields a {label}, which can "
-                        f"never be an Event")
-
-    @staticmethod
-    def _is_sim_process(module: Module, name: str, fn: ast.FunctionDef) -> bool:
-        if name in module.registered_processes:
-            return True
-        for node in Module._walk_same_function(fn):
-            if (isinstance(node, ast.Yield)
-                    and isinstance(node.value, ast.Call)
-                    and module.factory_of(node.value) is not None):
-                return True
-        return False

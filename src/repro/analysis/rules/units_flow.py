@@ -1,9 +1,9 @@
 """Cross-boundary unit-confusion rule: SIM010.
 
-SIM003 catches a ``float`` flowing into the integer-ns clock inside one
-expression.  The units bugs that actually survive review cross a call
-boundary with the *right type* and the *wrong unit*: a byte count handed
-to ``sim.timeout``, an ns value passed where a function expects bytes.
+The kernel rejects a ``float`` reaching the integer-ns clock at runtime.
+The units bugs that survive it cross a call boundary with the *right
+type* and the *wrong unit*: a byte count handed to ``sim.timeout``, an
+ns value passed where a function expects bytes.
 The tree already encodes units in names (``_ns`` / ``_bytes`` /
 ``_cycles`` suffixes, ``nbytes`` — the convention ``repro.units``
 documents), so the checker infers tagged ints from names and checks them

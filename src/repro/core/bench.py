@@ -18,32 +18,11 @@ import numpy as np
 
 from ..errors import ConfigError
 from ..sim.core import Event, Simulator
-from ..units import KiB, gbps_for
+from ..spdk.bench import IoRunResult
+from ..units import KiB
 from .stream_adapter import SnaccUserPort
 
-__all__ = ["SnaccRunResult", "SnaccPerf"]
-
-
-class SnaccRunResult:
-    """Outcome of one workload run."""
-
-    def __init__(self, total_bytes: int, elapsed_ns: int,
-                 latencies_ns: List[int]) -> None:
-        self.total_bytes = total_bytes
-        self.elapsed_ns = elapsed_ns
-        self.latencies_ns = latencies_ns
-
-    @property
-    def gbps(self) -> float:
-        """Achieved bandwidth, decimal GB/s."""
-        return gbps_for(self.total_bytes, self.elapsed_ns)
-
-    @property
-    def mean_latency_us(self) -> float:
-        """Mean per-command latency in microseconds."""
-        if not self.latencies_ns:
-            raise ConfigError("run recorded no latencies")
-        return sum(self.latencies_ns) / len(self.latencies_ns) / 1000.0
+__all__ = ["SnaccPerf"]
 
 
 class SnaccPerf:
@@ -57,24 +36,24 @@ class SnaccPerf:
 
     # -- sequential -----------------------------------------------------------
     def seq_read(self, total_bytes: int, device_addr: int = 0,
-                 ) -> Generator[Event, Any, SnaccRunResult]:
+                 ) -> Generator[Event, Any, IoRunResult]:
         """Generator: one large user read (paper Fig 4a seq-r)."""
         start = self.sim.now
         yield from self.user.issue_read(device_addr, total_bytes)
         yield from self.user.collect_read(functional=self.functional)
-        return SnaccRunResult(total_bytes, max(1, self.sim.now - start), [])
+        return IoRunResult(total_bytes, max(1, self.sim.now - start), [])
 
     def seq_write(self, total_bytes: int, device_addr: int = 0,
-                  ) -> Generator[Event, Any, SnaccRunResult]:
+                  ) -> Generator[Event, Any, IoRunResult]:
         """Generator: one large user write (paper Fig 4a seq-w)."""
         start = self.sim.now
         yield from self.user.write(device_addr, nbytes=total_bytes)
-        return SnaccRunResult(total_bytes, max(1, self.sim.now - start), [])
+        return IoRunResult(total_bytes, max(1, self.sim.now - start), [])
 
     # -- random ---------------------------------------------------------------
     def rand_read(self, total_bytes: int, io_bytes: int = 4 * KiB,
                   region_bytes: int | None = None, seed: int = 1,
-                  ) -> Generator[Event, Any, SnaccRunResult]:
+                  ) -> Generator[Event, Any, IoRunResult]:
         """Generator: independent random reads (paper Fig 4b rand-r).
 
         Commands are issued as fast as the streamer accepts them; a
@@ -95,11 +74,11 @@ class SnaccPerf:
         done = self.sim.process(collector())
         _ = self.sim.process(issuer())
         yield done
-        return SnaccRunResult(total_bytes, max(1, self.sim.now - start), [])
+        return IoRunResult(total_bytes, max(1, self.sim.now - start), [])
 
     def rand_write(self, total_bytes: int, io_bytes: int = 4 * KiB,
                    region_bytes: int | None = None, seed: int = 1,
-                   ) -> Generator[Event, Any, SnaccRunResult]:
+                   ) -> Generator[Event, Any, IoRunResult]:
         """Generator: independent random writes (paper Fig 4b rand-w)."""
         n_ios, addrs = self._rand_addrs(total_bytes, io_bytes,
                                         region_bytes, seed)
@@ -116,7 +95,7 @@ class SnaccPerf:
         done = self.sim.process(collector())
         _ = self.sim.process(issuer())
         yield done
-        return SnaccRunResult(total_bytes, max(1, self.sim.now - start), [])
+        return IoRunResult(total_bytes, max(1, self.sim.now - start), [])
 
     def _rand_addrs(self, total_bytes: int, io_bytes: int,
                     region_bytes: int | None, seed: int,

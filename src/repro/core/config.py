@@ -76,11 +76,6 @@ class StreamerConfig:
         if self.fill_engine_depth < 1:
             raise ConfigError("fill_engine_depth must be >= 1")
 
-    @property
-    def variant_name(self) -> str:
-        """Short name used by the area model and reports."""
-        return self.variant.value
-
 
 def default_config_for(variant: StreamerVariant) -> StreamerConfig:
     """The paper's configuration of *variant* (incl. measured drain latency)."""

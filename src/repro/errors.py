@@ -11,10 +11,6 @@ class SimulationError(ReproError):
     """Generic failure inside the discrete-event kernel."""
 
 
-class DeadlockError(SimulationError):
-    """The event queue drained while processes were still waiting."""
-
-
 class SnapshotError(SimulationError):
     """Checkpoint/fork scenario engine failure (unsafe fork point,
     replay divergence, or a branch that died in its forked child)."""

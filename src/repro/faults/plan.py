@@ -15,8 +15,8 @@ schedule feeds back into the stream:
   is a no-op at rate 0 for one of several fault kinds sharing the site),
   so the mapping from command k to stream position never drifts.
 
-Because the simulator itself schedules identically across runs (SIM001—
-SIM005, ``tests/sim/test_determinism.py``), the same seed therefore
+Because the simulator itself schedules identically across runs (snacclint's
+SIM004, ``tests/sim/test_determinism.py``), the same seed therefore
 reproduces the exact same faults — and the exact same recovery — run after
 run.  With every rate at zero no plan is attached anywhere and the model
 executes the identical event sequence it would without this module.

@@ -43,7 +43,7 @@ class ProcessingElement:
     def behavior(self):
         """The PE's process body (subclass hook, a generator)."""
         raise NotImplementedError
-        yield  # pragma: no cover  # snacclint: disable=SIM005 (unreachable; makes this a generator)
+        yield  # pragma: no cover  (unreachable; makes this a generator)
 
     def start(self) -> Process:
         """Launch the behaviour process (idempotent)."""

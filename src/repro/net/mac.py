@@ -483,11 +483,6 @@ class EthernetMac:
         return frame
 
     @property
-    def rx_occupancy(self) -> int:
-        """Bytes currently buffered in the RX FIFO."""
-        return self._rx_bytes
-
-    @property
     def rx_pending(self) -> int:
         """Frames currently buffered in the RX FIFO (switch accounting)."""
         return len(self._rx_frames)

@@ -42,11 +42,6 @@ class NvmeDevice:
     namespace: Namespace
     controller: NvmeController
 
-    @property
-    def doorbell_base(self) -> int:
-        """Bus address of the doorbell region."""
-        return self.config.bar_base
-
 
 def build_nvme_device(sim: Simulator, fabric: PcieFabric,
                       config: NvmeDeviceConfig = NvmeDeviceConfig()) -> NvmeDevice:

@@ -323,11 +323,6 @@ class PcieFabric:
         self.traffic.record(peer.name, nbytes)
         return data
 
-    def is_host_address(self, addr: int) -> bool:
-        """True when *addr* decodes to host memory (vs a peer BAR)."""
-        target, _ = self._decode(addr, 1)
-        return isinstance(target, _HostMemTarget)
-
     # -- host-side zero-time helpers ----------------------------------------------
     @property
     def host_memory(self) -> HostDram:
@@ -335,10 +330,3 @@ class PcieFabric:
         if self._host_mem is None:
             raise PCIeError("no host memory attached")
         return self._host_mem
-
-    def host_mem_offset(self, addr: int) -> int:
-        """Translate a global address into a host-DRAM offset."""
-        target, offset = self._decode(addr, 1)
-        if not isinstance(target, _HostMemTarget):
-            raise PCIeError(f"{addr:#x} is not host memory")
-        return offset

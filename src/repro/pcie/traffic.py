@@ -18,22 +18,16 @@ class TrafficAccountant:
 
     def __init__(self):
         self._bytes: Dict[str, int] = {}
-        self._ops: Dict[str, int] = {}
 
     def record(self, segment: str, nbytes: int) -> None:
         """Add *nbytes* of payload crossing *segment*."""
         if nbytes < 0:
             raise ValueError(f"nbytes must be >= 0, got {nbytes}")
         self._bytes[segment] = self._bytes.get(segment, 0) + nbytes
-        self._ops[segment] = self._ops.get(segment, 0) + 1
 
     def bytes_on(self, segment: str) -> int:
         """Payload bytes seen on *segment* so far."""
         return self._bytes.get(segment, 0)
-
-    def ops_on(self, segment: str) -> int:
-        """Operations recorded on *segment* so far."""
-        return self._ops.get(segment, 0)
 
     @property
     def total_bytes(self) -> int:
@@ -47,4 +41,3 @@ class TrafficAccountant:
     def reset(self) -> None:
         """Zero all counters (e.g. after initialization traffic)."""
         self._bytes.clear()
-        self._ops.clear()

@@ -93,6 +93,22 @@ _CALL_POOL: List["_Call"] = []
 _POOL_CAP = 4096
 
 
+def _int_ns(value: Any, what: str) -> int:
+    """*value* as an integer ns count, or the round-up-policy TypeError.
+
+    The clock is integer ns: anything integral (int, np.int64) is accepted
+    and floats are rejected at the source.  Callers reach this only from
+    their ``type(x) is not int`` branch, so plain ints never pay for it.
+    """
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise TypeError(
+            f"{what} must be an integer ns count, got {value!r}; apply the "
+            f"round-up policy from repro.units (ns_for_bytes / ns_ceil)"
+        ) from None
+
+
 def drain_freelists() -> Tuple[int, int]:
     """Empty the event freelists; returns the (timeout, event) counts dropped.
 
@@ -225,16 +241,7 @@ class Timeout(Event):
 
     def __init__(self, sim: "Simulator", delay: int, value: Any = None) -> None:
         if type(delay) is not int:
-            try:
-                # The clock is integer ns: accept anything integral (int,
-                # np.int64) and reject floats at the source — see
-                # repro.units rounding policy.
-                delay = operator.index(delay)
-            except TypeError:
-                raise TypeError(
-                    f"timeout delay must be an integer ns count, got "
-                    f"{delay!r}; apply the round-up policy from repro.units "
-                    f"(ns_for_bytes / ns_ceil)") from None
+            delay = _int_ns(delay, "timeout delay")
         if delay < 0:
             raise ValueError(f"negative timeout delay: {delay}")
         # Inlined Event.__init__ + scheduling: one attribute batch and a
@@ -484,9 +491,9 @@ class TrainSchedule(Event):
             raise ValueError(f"train count must be a positive int, got "
                              f"{count!r}")
         if type(spacing) is not int:
-            spacing = operator.index(spacing)
+            spacing = _int_ns(spacing, "train spacing")
         if type(first_delay) is not int:
-            first_delay = operator.index(first_delay)
+            first_delay = _int_ns(first_delay, "train first_delay")
         if first_delay < 0 or (spacing < 1 and count > 1):
             raise ValueError(
                 f"need first_delay >= 0 and spacing >= 1, got "
@@ -529,7 +536,7 @@ class _Call(Event):
     def __init__(self, sim: "Simulator", delay: int, fn: Callable[[Any], None],
                  arg: Any) -> None:
         if type(delay) is not int:
-            delay = operator.index(delay)
+            delay = _int_ns(delay, "call delay")
         if delay < 0:
             raise ValueError(f"negative call delay: {delay}")
         super().__init__(sim)
@@ -635,13 +642,7 @@ class Simulator:
         if not pool:
             return Timeout(self, delay, value)
         if type(delay) is not int:
-            try:
-                delay = operator.index(delay)
-            except TypeError:
-                raise TypeError(
-                    f"timeout delay must be an integer ns count, got "
-                    f"{delay!r}; apply the round-up policy from repro.units "
-                    f"(ns_for_bytes / ns_ceil)") from None
+            delay = _int_ns(delay, "timeout delay")
         if delay < 0:
             raise ValueError(f"negative timeout delay: {delay}")
         t = pool.pop()
@@ -687,7 +688,7 @@ class Simulator:
         if not pool:
             return _Call(self, delay, fn, arg)
         if type(delay) is not int:
-            delay = operator.index(delay)
+            delay = _int_ns(delay, "call delay")
         if delay < 0:
             raise ValueError(f"negative call delay: {delay}")
         c = pool.pop()
@@ -732,7 +733,7 @@ class Simulator:
         self._seq += 1
         if delay:
             if type(delay) is not int:
-                delay = operator.index(delay)
+                delay = _int_ns(delay, "schedule delay")
             heappush(self._times, (self._now + delay, self._seq, event))
         else:
             self._ready.append(event)
@@ -773,6 +774,8 @@ class Simulator:
         exactly at *until* is still processed.  Raises the first exception
         that escaped a process, if any.
         """
+        if until is not None and type(until) is not int:
+            until = _int_ns(until, "run until")
         self._drain(_NEVER, _FOREVER if until is None else until)
         if until is not None and until > self._now:
             self._now = until
@@ -786,6 +789,8 @@ class Simulator:
         event later than *until* stopped the run — never when the queue
         drained first.
         """
+        if until is not None and type(until) is not int:
+            until = _int_ns(until, "run_until until")
         self._drain(event, _FOREVER if until is None else until)
         if (until is not None and until > self._now
                 and event._value is _PENDING and self._times):

@@ -17,7 +17,6 @@ from .mem.base import AddressRange
 from .mem.hostmem import HostDram, PinnedAllocator
 from .net.frame import check_coarsening
 from .nvme.device import NvmeDevice, NvmeDeviceConfig, build_nvme_device
-from .nvme.profiles import SsdPerfProfile
 from .pcie.iommu import Iommu
 from .pcie.root_complex import PcieFabric
 from .sim.core import Simulator
@@ -53,10 +52,6 @@ class HostSystemConfig:
 
     def __post_init__(self) -> None:
         check_coarsening(self.coarsening)
-
-    def with_profile(self, profile: SsdPerfProfile) -> "HostSystemConfig":
-        """Copy of this config with a different SSD perf profile."""
-        return replace(self, ssd=replace(self.ssd, profile=profile))
 
 
 @dataclass

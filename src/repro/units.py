@@ -10,16 +10,17 @@ Sizes follow the NVMe convention: addresses and buffer sizes are binary
 Rounding policy
 ---------------
 The kernel clock is integer nanoseconds and the kernel rejects float
-delays outright (:class:`repro.sim.core.Timeout` coerces via
-``operator.index``).  Whenever real-valued math produces a duration, it is
+delays and ``until`` bounds outright (every scheduling entry point coerces
+via ``operator.index``).  Whenever real-valued math produces a duration, it is
 rounded **up** to the next whole nanosecond before reaching the kernel —
 never truncated, never round-half-even.  Round-up is the single policy
 because it is conservative for every quantity we model: a link never
 exceeds its nominal bandwidth, a controller never beats its service time,
 and latencies are never under-reported.  :func:`ns_for_bytes` (bandwidth
 to serialization delay) and :func:`ns_ceil` (any float duration) are the
-two blessed conversion points; snacclint rule SIM003 flags float
-expressions that try to reach ``sim.timeout(...)`` by any other route.
+two blessed conversion points; every kernel entry point that takes a time
+raises a ``TypeError`` naming this policy when a float reaches it by any
+other route.
 """
 
 from __future__ import annotations

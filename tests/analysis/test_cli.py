@@ -22,9 +22,7 @@ HAZARD_RE = re.compile(r"#\s*HAZARD\s+(SIM\d{3})")
 RULE_FIXTURES = [
     "sim001_unconsumed.py",
     "sim002_unregistered.py",
-    "sim003_float_delay.py",
     "sim004_nondeterminism.py",
-    "sim005_yield_non_event.py",
     "sim006_deadlock.py",
     "sim007_recovery.py",
     "sim008_spawn.py",
@@ -60,10 +58,10 @@ class TestFixtures:
         from repro.analysis import analyze_paths
 
         path = FIXTURES / name
-        findings, errors, count = analyze_paths([str(path)])
-        assert errors == []
-        assert count == 1
-        got = [(f.rule_id, f.line) for f in findings]
+        report = analyze_paths([str(path)])
+        assert report.errors == []
+        assert report.files_analyzed == 1
+        got = [(f.rule_id, f.line) for f in report.findings]
         assert got == expected_hazards(path)
 
     def test_fixtures_dir_excluded_from_tree_walks(self):
@@ -75,9 +73,9 @@ class TestFixtures:
 
 class TestCli:
     def test_findings_exit_1_with_locations(self):
-        proc = run_cli(str(FIXTURES / "sim003_float_delay.py"))
+        proc = run_cli(str(FIXTURES / "sim001_unconsumed.py"))
         assert proc.returncode == 1
-        for rule, line in expected_hazards(FIXTURES / "sim003_float_delay.py"):
+        for rule, line in expected_hazards(FIXTURES / "sim001_unconsumed.py"):
             assert f":{line}:" in proc.stdout
             assert rule in proc.stdout
 
@@ -93,10 +91,9 @@ class TestCli:
         assert got == expected_hazards(fixture)
         first = doc["findings"][0]
         assert set(first) == {"path", "line", "col", "rule", "message"}
-        # v2 additions: suppression-debt counters + cache telemetry
+        # v2 additions: suppression-debt counters
         assert doc["suppressed_findings"] == 0
         assert doc["suppression_comments"] == 0
-        assert doc["cache_hits"] in (0, 1)
 
     def test_clean_file_exits_0(self, tmp_path):
         clean = tmp_path / "clean.py"
@@ -120,8 +117,8 @@ class TestCli:
         assert proc.returncode == 2
 
     def test_select_narrows_rules(self):
-        proc = run_cli(str(FIXTURES / "sim003_float_delay.py"),
-                       "--select", "SIM001", "--format", "json")
+        proc = run_cli(str(FIXTURES / "sim001_unconsumed.py"),
+                       "--select", "SIM004", "--format", "json")
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["findings"] == []
 
@@ -133,61 +130,44 @@ class TestCli:
     def test_list_rules(self):
         proc = run_cli("--list-rules")
         assert proc.returncode == 0
-        for rid in ("SIM001", "SIM002", "SIM003", "SIM004", "SIM005",
-                    "SIM006", "SIM007", "SIM008", "SIM009", "SIM010",
-                    "SIM011"):
+        for rid in ("SIM001", "SIM002", "SIM004", "SIM006", "SIM007",
+                    "SIM008", "SIM009", "SIM010", "SIM011"):
             assert rid in proc.stdout
 
 
 class TestCliV2:
-    """--jobs, --output, the incremental cache, and the baseline ratchet."""
+    """--jobs, --output, and the baseline ratchet."""
 
     def test_jobs_output_identical_to_serial(self):
         files = [str(FIXTURES / name) for name in RULE_FIXTURES]
-        serial = run_cli(*files, "--format", "json", "--no-incremental")
-        parallel = run_cli(*files, "--format", "json", "--jobs", "4",
-                           "--no-incremental")
+        serial = run_cli(*files, "--format", "json")
+        parallel = run_cli(*files, "--format", "json", "--jobs", "4")
         assert serial.returncode == parallel.returncode == 1
         assert json.loads(serial.stdout) == json.loads(parallel.stdout)
 
     def test_jobs_rejects_zero(self):
-        proc = run_cli(str(FIXTURES / "sim003_float_delay.py"), "--jobs", "0")
+        proc = run_cli(str(FIXTURES / "sim001_unconsumed.py"), "--jobs", "0")
         assert proc.returncode == 2
 
     def test_output_artifact_written(self, tmp_path):
         out = tmp_path / "snacclint.json"
-        proc = run_cli(str(FIXTURES / "sim003_float_delay.py"),
-                       "--output", str(out), "--no-incremental")
+        proc = run_cli(str(FIXTURES / "sim001_unconsumed.py"),
+                       "--output", str(out))
         assert proc.returncode == 1
         doc = json.loads(out.read_text())
         assert doc["version"] == 2
         got = [(f["rule"], f["line"]) for f in doc["findings"]]
-        assert got == expected_hazards(FIXTURES / "sim003_float_delay.py")
-
-    def test_incremental_cache_hits_second_run(self, tmp_path):
-        cache = tmp_path / "cache.json"
-        fixture = FIXTURES / "sim010_units.py"
-        cold = run_cli(str(fixture), "--cache-file", str(cache),
-                       "--format", "json")
-        warm = run_cli(str(fixture), "--cache-file", str(cache),
-                       "--format", "json")
-        assert cold.returncode == warm.returncode == 1
-        cold_doc, warm_doc = json.loads(cold.stdout), json.loads(warm.stdout)
-        assert cold_doc["cache_hits"] == 0
-        assert warm_doc["cache_hits"] == 1
-        assert cold_doc["findings"] == warm_doc["findings"]
+        assert got == expected_hazards(FIXTURES / "sim001_unconsumed.py")
 
     def test_write_baseline_then_ratchet_passes(self, tmp_path):
         baseline = tmp_path / "baseline.json"
         src = tmp_path / "mod.py"
         src.write_text("import time\n"
                        "t0 = time.time()  # snacclint: disable=SIM004\n")
-        proc = run_cli(str(src), "--write-baseline", str(baseline),
-                       "--no-incremental")
+        proc = run_cli(str(src), "--write-baseline", str(baseline))
         assert proc.returncode == 0
         assert json.loads(baseline.read_text())["suppression_comments"] == 1
-        proc = run_cli(str(src), "--baseline", str(baseline),
-                       "--no-incremental")
+        proc = run_cli(str(src), "--baseline", str(baseline))
         assert proc.returncode == 0
 
     def test_ratchet_fails_when_debt_grows(self, tmp_path):
@@ -197,8 +177,7 @@ class TestCliV2:
         src = tmp_path / "mod.py"
         src.write_text("import time\n"
                        "t0 = time.time()  # snacclint: disable=SIM004\n")
-        proc = run_cli(str(src), "--baseline", str(baseline),
-                       "--no-incremental")
+        proc = run_cli(str(src), "--baseline", str(baseline))
         assert proc.returncode == 1
         assert "suppression debt increased" in proc.stderr
 
@@ -208,8 +187,7 @@ class TestCliV2:
             json.dumps({"version": 1, "suppression_comments": 5}))
         src = tmp_path / "mod.py"
         src.write_text("x = 1\n")
-        proc = run_cli(str(src), "--baseline", str(baseline),
-                       "--no-incremental")
+        proc = run_cli(str(src), "--baseline", str(baseline))
         assert proc.returncode == 0
         assert "ratchet it down" in proc.stdout
 
@@ -218,6 +196,5 @@ class TestCliV2:
         baseline.write_text("{not json")
         src = tmp_path / "mod.py"
         src.write_text("x = 1\n")
-        proc = run_cli(str(src), "--baseline", str(baseline),
-                       "--no-incremental")
+        proc = run_cli(str(src), "--baseline", str(baseline))
         assert proc.returncode == 2

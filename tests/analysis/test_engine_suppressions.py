@@ -55,7 +55,7 @@ class TestFileLevel:
 
     def test_disable_file_is_rule_scoped(self):
         findings = findings_for(
-            "# snacclint: disable-file=SIM003\n"
+            "# snacclint: disable-file=SIM001\n"
             "import time\n"
             "t0 = time.time()\n")
         assert [f.rule_id for f in findings] == ["SIM004"]
@@ -74,7 +74,7 @@ class TestFileLevel:
             "import time\n"
             "def proc(sim):\n"
             "    t0 = time.time()\n"
-            "    yield 42  # snacclint: disable=SIM005\n")
+            "    sim.timeout(1)  # snacclint: disable=SIM001\n")
         assert findings == []
 
     def test_unknown_rule_id_in_disable_file_is_inert(self):
@@ -126,7 +126,7 @@ class TestContinuationLines:
 class TestDebtCounters:
     def test_suppression_comments_are_counted(self):
         module = Module("<m>", textwrap.dedent("""\
-            # snacclint: disable-file=SIM003
+            # snacclint: disable-file=SIM001
             import time
             t0 = time.time()  # snacclint: disable=SIM004
             t1 = time.time()  # snacclint: disable

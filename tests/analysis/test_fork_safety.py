@@ -18,17 +18,16 @@ class TestFixtures:
         from .test_cli import expected_hazards
 
         path = FIXTURES / "true_positive.py"
-        findings, errors, count = analyze_paths([str(path)])
-        assert errors == [] and count == 1
-        got = [(f.rule_id, f.line) for f in findings]
+        report = analyze_paths([str(path)])
+        assert report.errors == [] and report.files_analyzed == 1
+        got = [(f.rule_id, f.line) for f in report.findings]
         assert got == expected_hazards(path)
         assert all(rule == "SIM011" for rule, _line in got)
 
     def test_near_miss_is_clean(self):
-        findings, errors, count = analyze_paths(
-            [str(FIXTURES / "near_miss.py")])
-        assert errors == [] and count == 1
-        assert findings == []
+        report = analyze_paths([str(FIXTURES / "near_miss.py")])
+        assert report.errors == [] and report.files_analyzed == 1
+        assert report.findings == []
 
 
 class TestDirectFork:

@@ -409,8 +409,9 @@ class TestSeededTreeWideGate:
 
     def test_seeded_sim006_deadlock_is_caught(self):
         seeded = self._gated_paths() + [str(FIXTURES / "sim006_deadlock.py")]
-        findings, errors, _count = analyze_paths(seeded)
-        assert errors == []
+        report = analyze_paths(seeded)
+        assert report.errors == []
+        findings = report.findings
         sim006 = [f for f in findings if f.rule_id == "SIM006"]
         assert {f.path for f in sim006} == {str(FIXTURES / "sim006_deadlock.py")}
         assert len(sim006) == 2
@@ -419,8 +420,9 @@ class TestSeededTreeWideGate:
 
     def test_seeded_sim009_fingerprint_gap_is_caught(self):
         seeded = self._gated_paths() + [str(FIXTURES / "sim009_fingerprint.py")]
-        findings, errors, _count = analyze_paths(seeded)
-        assert errors == []
+        report = analyze_paths(seeded)
+        assert report.errors == []
+        findings = report.findings
         sim009 = [f for f in findings if f.rule_id == "SIM009"]
         assert {f.path for f in sim009} == {
             str(FIXTURES / "sim009_fingerprint.py")}

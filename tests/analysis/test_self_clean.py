@@ -17,8 +17,10 @@ GATED_PATHS = ["src", "tests", "examples", "scripts"]
 def test_repo_tree_is_snacclint_clean():
     paths = [str(REPO_ROOT / p) for p in GATED_PATHS if (REPO_ROOT / p).exists()]
     assert paths, f"no gated paths found under {REPO_ROOT}"
-    findings, errors, count = analyze_paths(paths)
+    report = analyze_paths(paths)
+    errors, findings = report.errors, report.findings
     assert errors == [], "analyzer failed to parse repo files:\n" + "\n".join(errors)
     pretty = "\n".join(f.format() for f in findings)
     assert findings == [], f"snacclint findings in repo tree:\n{pretty}"
+    count = report.files_analyzed
     assert count > 100, f"suspiciously few files analyzed: {count}"

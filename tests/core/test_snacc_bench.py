@@ -3,9 +3,10 @@
 import pytest
 
 from repro.core import StreamerVariant, build_snacc_system
-from repro.core.bench import SnaccPerf, SnaccRunResult
+from repro.core.bench import SnaccPerf
 from repro.errors import ConfigError
 from repro.sim import Simulator
+from repro.spdk.bench import IoRunResult
 from repro.systems import HostSystemConfig
 from repro.units import KiB, MiB
 
@@ -41,8 +42,8 @@ class TestSnaccPerf:
             sim.run_process(perf.rand_read(4 * KiB + 1))
 
     def test_result_requires_latencies_for_mean(self):
-        r = SnaccRunResult(10, 10, [])
+        r = IoRunResult(10, 10, [])
         with pytest.raises(ConfigError):
             _ = r.mean_latency_us
-        r2 = SnaccRunResult(10, 10, [2000])
+        r2 = IoRunResult(10, 10, [2000])
         assert r2.mean_latency_us == pytest.approx(2.0)

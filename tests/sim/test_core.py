@@ -4,6 +4,11 @@ import pytest
 
 from repro.errors import SimulationError
 from repro.sim import Interrupt, Simulator
+from repro.sim import core
+from repro.sim.core import Timeout, _Call, drain_freelists
+
+#: stands for a bare ``yield`` among the non-Event cases
+_BARE = object()
 
 
 class TestTimeoutOrdering:
@@ -107,13 +112,35 @@ class TestProcess:
         sim.run()
         assert out == ["boom"]
 
-    def test_yielding_non_event_fails(self, sim):
-        def bad():
-            yield 17
+    def test_yielding_non_event_fails(self):
+        # A bare yield, an int, a list and a tuple, each yielded at the
+        # first step, after a resume, and after an interrupt (the
+        # _throw -> _wait_on path).
+        for bad in (_BARE, 17, [1], (1, 2)):
+            for when in ("first_step", "after_resume", "after_interrupt"):
+                sim = Simulator()
 
-        _ = sim.process(bad())
-        with pytest.raises(SimulationError):
-            sim.run()
+                def body(sim=sim, bad=bad, when=when):
+                    if when == "after_resume":
+                        yield sim.timeout(5)
+                    elif when == "after_interrupt":
+                        try:
+                            yield sim.event()
+                        except Interrupt:
+                            pass
+                    if bad is _BARE:
+                        yield
+                    else:
+                        yield bad
+
+                proc = sim.process(body())
+                if when == "after_interrupt":
+                    sim.run()  # park the process on its never-fired event
+                    proc.interrupt()
+                with pytest.raises(SimulationError) as crash:
+                    sim.run()
+                assert "expected an Event" in str(crash.value.__cause__), \
+                    (bad, when)
 
     def test_non_generator_rejected(self, sim):
         with pytest.raises(TypeError):
@@ -313,3 +340,57 @@ class TestDeterminism:
         s2.run()
         assert log1 == log2
         assert len(log1) == 50
+
+
+def _noop(_arg):
+    pass
+
+
+def _recycle_one_timeout_and_call():
+    """Leave a dead Timeout and a dead _Call in the kernel freelists."""
+    drain_freelists()
+    sim = Simulator()
+    sim.schedule_call(1, _noop)
+
+    def body():
+        yield sim.timeout(1)
+
+    _ = sim.process(body())
+    sim.run()
+    assert core._TIMEOUT_POOL and core._CALL_POOL, "nothing was recycled"
+
+
+def _run_until_float(sim):
+    _ = sim.timeout(10)  # a pending later event: the clock would move
+    sim.run_until(sim.event(), until=3.7)
+
+
+#: every kernel entry point that takes a time, fed a float
+FLOAT_TIMES = {
+    "Timeout": lambda sim: Timeout(sim, 2.5),
+    "timeout": lambda sim: sim.timeout(2.5),
+    "_Call": lambda sim: _Call(sim, 2.5, _noop, None),
+    "schedule_call": lambda sim: sim.schedule_call(2.5, _noop),
+    "train_first_delay": lambda sim: sim.schedule_train(2, 2.5, 10, _noop),
+    "train_spacing": lambda sim: sim.schedule_train(2, 10, 2.5, _noop),
+    "_schedule": lambda sim: sim._schedule(sim.event(), 2.5),
+    "run": lambda sim: sim.run(until=2.5),
+    "run_until": _run_until_float,
+}
+
+
+@pytest.mark.parametrize("pools", ["drained", "recycled"])
+@pytest.mark.parametrize("entry", sorted(FLOAT_TIMES))
+def test_float_time_rejected_at_every_entry_point(entry, pools):
+    """The clock is integer ns: a float delay or ``until`` raises the
+    round-up-policy TypeError on both freelist branches, and the clock
+    never turns float."""
+    if pools == "drained":
+        drain_freelists()
+    else:
+        _recycle_one_timeout_and_call()
+    sim = Simulator()
+    with pytest.raises(TypeError, match="integer ns count.*repro.units"):
+        FLOAT_TIMES[entry](sim)
+    assert type(sim.now) is int
+    drain_freelists()
