@@ -182,6 +182,7 @@ class ModuleSummary:
     mutable_globals: List[Tuple[str, int]]     # module-level mutable bindings
     mutated_globals: List[str]                 # names mutated from functions
     io_reads: List[Tuple[str, int, int]]       # (description, line, col)
+    run_names: List[str]                       # callees and callback args
     job_root: bool
     tagged_calls: List[TaggedCall]
     line_suppress: Dict[int, Optional[List[str]]]
@@ -549,6 +550,37 @@ def _collect_io_reads(module: Module) -> List[Tuple[str, int, int]]:
     return reads
 
 
+def _enclosing_class(module: Module, node: ast.AST) -> Optional[str]:
+    scope: Optional[ast.AST] = module.scope_of(node)
+    while scope is not None and not isinstance(scope, ast.ClassDef):
+        scope = module.scope_parent_of(scope)
+    return scope.name if scope is not None else None
+
+
+def _collect_run_names(module: Module) -> List[str]:
+    """The functions this module runs: the callee of every call (``f()``,
+    ``self.f()``, hence also ``sim.process(self.f())``) and every name
+    passed to a call as a callback (``sim.schedule_call(0, self.f)``).
+
+    A ``self.f`` inside class ``C`` is recorded as ``"C.f"``; any other
+    reference only by its bare name.
+    """
+    names: Set[str] = set()
+    for node in ast.walk(module.tree):
+        if not isinstance(node, ast.Call):
+            continue
+        for ref in [node.func, *node.args,
+                    *(kw.value for kw in node.keywords)]:
+            if isinstance(ref, ast.Name):
+                names.add(ref.id)
+            elif isinstance(ref, ast.Attribute):
+                owner = (_enclosing_class(module, node)
+                         if isinstance(ref.value, ast.Name)
+                         and ref.value.id == "self" else None)
+                names.add(f"{owner}.{ref.attr}" if owner else ref.attr)
+    return sorted(names)
+
+
 def _arg_tag(node: ast.AST) -> Optional[str]:
     if isinstance(node, ast.Name):
         return unit_tag(node.id)
@@ -616,6 +648,7 @@ def summarize(module: Module, module_name: Optional[str] = None) -> ModuleSummar
         mutable_globals=mutable_globals,
         mutated_globals=mutated_globals,
         io_reads=_collect_io_reads(module),
+        run_names=_collect_run_names(module),
         job_root=_is_job_root(module, name),
         tagged_calls=_collect_tagged_calls(module),
         line_suppress={line: (None if ids is None else sorted(ids))

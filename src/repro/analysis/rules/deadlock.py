@@ -21,9 +21,10 @@ __all__ = ["WaitWithNoSetter", "UnguardedRecoveryWait",
 RECOVERY_RE = re.compile(r"retry|recover|resubmit|requeue|backoff|redrive",
                          re.IGNORECASE)
 
-#: function names that look like a timeout watchdog; a module that defines
-#: one is assumed to sweep its own stuck waiters (e.g. the SPDK driver's
-#: ``_scan_timeouts`` sweeping ``_retry_io``).
+#: function names that look like a timeout watchdog; a class (or module)
+#: that defines one *and runs it* is assumed to sweep its own stuck
+#: waiters (e.g. the SPDK driver's poll loop calling ``_scan_timeouts``,
+#: which sweeps ``_retry_io``).
 WATCHDOG_RE = re.compile(r"watchdog|timeout|expiry|expire|scan|monitor|deadline",
                          re.IGNORECASE)
 
@@ -92,7 +93,10 @@ class UnguardedRecoveryWait(ProgramRule):
     that also defines a watchdog (:data:`WATCHDOG_RE`) is assumed to
     sweep its stuck waiters — the SPDK driver's ``_retry_io`` /
     ``_scan_timeouts`` pair is the canonical example — and a
-    module-level watchdog exempts the whole module.
+    module-level watchdog exempts the whole module.  Only a watchdog
+    that runs counts: the module must call it, start it as a process,
+    or hand it to a call as a callback.  A watchdog that is defined but
+    never run sweeps nothing.
     """
 
     id = "SIM007"
@@ -102,8 +106,10 @@ class UnguardedRecoveryWait(ProgramRule):
 
     def check_program(self, program) -> Iterator[Finding]:
         for summary in program.summaries:
+            run = set(summary.run_names)
             watchdog_classes = {info.class_name for info in summary.functions
-                                if WATCHDOG_RE.search(info.name)}
+                                if WATCHDOG_RE.search(info.name)
+                                and (info.name in run or info.qualname in run)}
             if None in watchdog_classes:
                 continue  # a module-level watchdog guards the whole module
             for info in summary.functions:
@@ -116,6 +122,6 @@ class UnguardedRecoveryWait(ProgramRule):
                         summary.path, line, col,
                         f"recovery generator '{info.qualname}' blocks on "
                         f"bare event '{key}' with no timeout and no "
-                        f"watchdog in the module; pair the wait with a "
-                        f"sim.timeout(...) (any_of) or add a watchdog "
-                        f"sweeper")
+                        f"watchdog that runs in its class or module; pair "
+                        f"the wait with a sim.timeout(...) (any_of) or "
+                        f"run a watchdog sweeper")

@@ -64,6 +64,8 @@ class AxiStream:
         self._data_kick = Event(sim)
         self.total_flits = 0
         self.total_bytes = 0
+        #: memoized :meth:`serialize_ns` — flit sizes repeat endlessly
+        self._ns_cache: Dict[int, int] = {}
 
     @property
     def gbps(self) -> float:
@@ -75,7 +77,12 @@ class AxiStream:
 
     def serialize_ns(self, nbytes: int) -> int:
         """Wire time of an *nbytes* transfer at this width/clock."""
-        return ns_for_bytes(self._beats(nbytes) * self.width_bytes, self.gbps)
+        ns = self._ns_cache.get(nbytes)
+        if ns is None:
+            ns = ns_for_bytes(self._beats(nbytes) * self.width_bytes,
+                              self.gbps)
+            self._ns_cache[nbytes] = ns
+        return ns
 
     # -- producer side ----------------------------------------------------------
     def send(self, flit: StreamFlit):

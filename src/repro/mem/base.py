@@ -90,6 +90,11 @@ class Memory:
         self._check(addr, nbytes)
         return self._data[addr:addr + nbytes].copy()
 
+    def read_byte(self, addr: int) -> int:
+        """The byte at *addr*, without copying an array."""
+        self._check(addr, 1)
+        return int(self._data[addr])
+
     def write(self, addr: int, data: BytesLike) -> None:
         """Store *data* starting at *addr*."""
         arr = as_bytes_array(data)
@@ -153,6 +158,13 @@ class SparseMemory:
                 out[pos:pos + chunk] = page[off:off + chunk]
             pos += chunk
         return out
+
+    def read_byte(self, addr: int) -> int:
+        """The byte at *addr* (zero when unwritten), without copying."""
+        self._check(addr, 1)
+        page_idx, off = divmod(addr, self.page_size)
+        page = self._pages.get(page_idx)
+        return 0 if page is None else int(page[off])
 
     def write(self, addr: int, data: BytesLike) -> None:
         """Store *data* at *addr*, materialising pages as needed."""

@@ -75,6 +75,10 @@ class TimedMemory:
         """Zero-time functional read (initialisation / test inspection)."""
         return self.backing.read(addr, nbytes)
 
+    def read_byte(self, addr: int) -> int:
+        """Zero-time functional read of one byte (status-bit polling)."""
+        return self.backing.read_byte(addr)
+
     def write(self, addr: int, data: BytesLike) -> None:
         """Zero-time functional write (initialisation / test setup)."""
         self.backing.write(addr, data)

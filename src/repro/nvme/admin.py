@@ -85,8 +85,7 @@ class AdminQueueClient:
             data=self.asq.tail.to_bytes(4, "little"))
         # Poll the ACQ until the phase bit flips on the head entry.
         while True:
-            raw = host.read(self._host_offset(self.acq.next_addr()), CQE_BYTES)
-            cqe = self.acq.try_accept(bytes(raw))
+            cqe = self.acq.poll(host, self.host_mem_base)
             if cqe is not None:
                 break
             yield self.sim.timeout(ADMIN_POLL_NS)

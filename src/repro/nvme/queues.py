@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..errors import ConfigError, QueueFullError
+from ..mem.timed import TimedMemory
 from .command import CompletionEntry
 from .spec import CQE_BYTES, SQE_BYTES
 
@@ -21,6 +22,8 @@ __all__ = ["QueueRing", "SubmissionRing", "CompletionRing", "doorbell_offset"]
 DOORBELL_BASE = 0x1000
 #: Doorbell stride (CAP.DSTRD = 0 -> 4 bytes).
 DOORBELL_STRIDE = 4
+#: Byte of a CQE whose bit 0 is the phase tag (see repro.nvme.command).
+CQE_PHASE_BYTE = 14
 
 
 def doorbell_offset(qid: int, is_cq: bool) -> int:
@@ -97,6 +100,8 @@ class CompletionRing(QueueRing):
 
     The controller toggles the expected phase each wrap; the consumer polls
     the next slot and accepts the entry only when its phase bit matches.
+    Host-memory consumers (the SPDK driver, the admin client) poll through
+    :meth:`poll`.
     """
 
     def __init__(self, base_addr: int, entries: int, qid: int = 0):
@@ -107,6 +112,21 @@ class CompletionRing(QueueRing):
     def next_addr(self) -> int:
         """Bus address the consumer should poll."""
         return self.entry_addr(self.head)
+
+    def poll(self, mem: TimedMemory, bus_base: int = 0) -> CompletionEntry | None:
+        """Accept the head entry from *mem* if the controller has posted it.
+
+        *mem* is the timed memory holding the ring at bus address minus
+        *bus_base*.  Reads are functional (zero simulated time).  The
+        phase bit is peeked with a one-byte read first; the 16-byte entry
+        is copied and decoded only when it matches, so an idle poll of a
+        stale slot costs one byte.  The result is exactly
+        ``try_accept(mem.read(slot, CQE_BYTES))``.
+        """
+        addr = self.base_addr + self.head * CQE_BYTES - bus_base
+        if mem.read_byte(addr + CQE_PHASE_BYTE) & 1 != self.expected_phase:
+            return None
+        return self.try_accept(bytes(mem.read(addr, CQE_BYTES)))
 
     def try_accept(self, raw: bytes) -> CompletionEntry | None:
         """Decode *raw*; returns the entry if its phase matches, else None.

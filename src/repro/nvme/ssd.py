@@ -12,7 +12,7 @@ between a fast and a slow state (the paper's 6.24/5.90 GB/s observation).
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Callable, Deque
+from typing import Any, Callable, Deque, Dict
 
 import numpy as np
 
@@ -43,6 +43,9 @@ class SsdBackend:
         self._program_queue: Deque[tuple] = deque()
         self.programmed_bytes = 0
         self.read_bytes = 0
+        #: memoized streaming-read times — sequential reads repeat one
+        #: command size for a whole run
+        self._stream_ns: Dict[int, int] = {}
         self._rng = np.random.default_rng(profile.rand_seed)
         # Two-point service distribution preserving the mean: the slow path
         # (read retry / die contention) is what head-of-line blocking in an
@@ -115,10 +118,14 @@ class SsdBackend:
         """
         if nbytes <= 0:
             raise ConfigError(f"read_stream of {nbytes} bytes")
+        ns = self._stream_ns.get(nbytes)
+        if ns is None:
+            ns = ns_for_bytes(nbytes, self.profile.seq_read_gbps)
+            self._stream_ns[nbytes] = ns
         if not self._array.acquire_inline():
             yield self._array.acquire()
         try:
-            yield self.sim.timeout(ns_for_bytes(nbytes, self.profile.seq_read_gbps))
+            yield self.sim.timeout(ns)
         finally:
             self._array.release()
         self.read_bytes += nbytes

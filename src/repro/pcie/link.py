@@ -9,11 +9,11 @@ Elastic chunking (DESIGN.md §5)
 -------------------------------
 Chunked interleaving only matters under contention.  When a direction has
 no queued competitor, :meth:`PcieLink.serialize` collapses the remaining
-chunks into a *single* timeout whose duration is the exact sum of the
+chunks into a *single* timed wait whose duration is the exact sum of the
 per-chunk round-ups, so the simulated timing is bit-identical to the
 interleaved loop while the kernel processes O(1) events per transfer
 instead of O(transfer/chunk).  A competitor arriving mid-span trips the
-direction's contention watcher; the holder then finishes only the chunk
+direction's contention callback; the holder then finishes only the chunk
 in flight (exactly what the interleaved loop would have done), yields the
 wire, and falls back to per-chunk interleaving.
 
@@ -26,7 +26,7 @@ correct side of the sampling point.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Generator, Optional, Tuple
+from typing import Callable, Dict, Generator, Optional, Tuple
 
 from ..errors import ConfigError, PCIeError
 from ..sim.core import Event, Simulator
@@ -80,10 +80,11 @@ class _InflightSpan:
     """Accounting record of one elastic span occupying a direction."""
 
     __slots__ = ("start_ns", "chunk_ns", "span_ns", "total_bytes",
-                 "chunk_bytes", "nfull", "credited_bytes")
+                 "chunk_bytes", "nfull", "credited_bytes", "wake", "ended")
 
     def __init__(self, start_ns: int, chunk_ns: int, span_ns: int,
-                 total_bytes: int, chunk_bytes: int, nfull: int) -> None:
+                 total_bytes: int, chunk_bytes: int, nfull: int,
+                 wake: Event) -> None:
         self.start_ns = start_ns
         self.chunk_ns = chunk_ns
         self.span_ns = span_ns
@@ -92,6 +93,11 @@ class _InflightSpan:
         self.nfull = nfull
         #: bytes already moved into the public counter by settlements
         self.credited_bytes = 0
+        #: the holder's wake-up; None once the end call or a contention
+        #: hop has succeeded it
+        self.wake: Optional[Event] = wake
+        #: the end call has run: the whole span crossed
+        self.ended = False
 
     def crossed_at(self, now: int) -> int:
         """Wire bytes that crossed by *now* (last completed chunk boundary)."""
@@ -101,6 +107,20 @@ class _InflightSpan:
         if elapsed <= 0:
             return 0
         return min(self.nfull, elapsed // self.chunk_ns) * self.chunk_bytes
+
+
+def _wake_holder(span: _InflightSpan) -> None:
+    """Succeed the span holder's wake event, once (the contention hop)."""
+    wake = span.wake
+    if wake is not None:
+        span.wake = None
+        wake.succeed()
+
+
+def _end_span(span: _InflightSpan) -> None:
+    """The span's end call: mark it crossed, then wake its holder."""
+    span.ended = True
+    _wake_holder(span)
 
 
 class PcieLink:
@@ -119,6 +139,8 @@ class PcieLink:
         self.wire_bytes = {"up": 0, "down": 0}
         self._inflight: Dict[str, Optional[_InflightSpan]] = {
             "up": None, "down": None}
+        #: each direction's contention callback (one registration per span)
+        self._contended = {d: self._contention_hop(d) for d in self._dirs}
         #: memoized ``ns_for_bytes(n, raw_gbps)`` — transfers repeat a
         #: handful of sizes (4 KiB pages, request headers, CQEs) millions
         #: of times, and the parameters are frozen at construction.
@@ -176,7 +198,6 @@ class PcieLink:
         wire = self._wire_cache[payload_bytes]  # cached by plan_single_chunk
         total_wire = wire + raw_wire_bytes
         chunk = self.params.chunk_bytes
-        gbps = self.params.raw_gbps
         remaining = total_wire
         while remaining > 0:
             if not res.acquire_inline():
@@ -187,10 +208,7 @@ class PcieLink:
                     res, direction, remaining)
             else:
                 take = min(remaining, chunk)
-                ns = self._ns_cache.get(take)
-                if ns is None:
-                    ns = ns_for_bytes(take, gbps)
-                    self._ns_cache[take] = ns
+                ns = self._wire_ns(take)
                 try:
                     if self._fault_cfg is not None:
                         yield from self._chunk_with_replay(direction, take, ns)
@@ -265,30 +283,48 @@ class PcieLink:
             self._ns_cache[total_wire] = ns
         return ns, total_wire
 
+    def _wire_ns(self, nbytes: int) -> int:
+        """Memoized ``ns_for_bytes(nbytes, raw_gbps)``."""
+        ns = self._ns_cache.get(nbytes)
+        if ns is None:
+            ns = ns_for_bytes(nbytes, self.params.raw_gbps)
+            self._ns_cache[nbytes] = ns
+        return ns
+
     def _elastic_span(self, res: Resource, direction: str,
                       remaining: int) -> Generator[Event, object, int]:
-        """Serialize up to *remaining* bytes in one timeout; returns the
+        """Serialize up to *remaining* bytes in one timed wait; returns the
         bytes actually serialized.
 
         The caller holds the direction and loops for any rest.  Timing is
         bit-identical to the per-chunk loop: the span duration is the sum
         of per-chunk ``ns_for_bytes`` round-ups, and under contention the
         holder completes exactly the chunk in flight before yielding.
+
+        The holder waits on one wake event, succeeded by whichever comes
+        first: the span's end call (a pooled ``schedule_call`` at its last
+        instant) or the zero-delay hop that the direction's contention
+        callback schedules when a competitor queues.  Each reaches the
+        holder in two hops, at the sequence positions where a first-of
+        Condition over an end timeout and a contention event would
+        (DESIGN.md §5.4).
         """
         sim = self.sim
         chunk = self.params.chunk_bytes
-        gbps = self.params.raw_gbps
-        chunk_ns = ns_for_bytes(chunk, gbps)
+        chunk_ns = self._wire_ns(chunk)
         nfull, tail = divmod(remaining, chunk)
-        span_ns = nfull * chunk_ns + (ns_for_bytes(tail, gbps) if tail else 0)
-        span = _InflightSpan(sim.now, chunk_ns, span_ns, remaining, chunk, nfull)
+        span_ns = nfull * chunk_ns + (self._wire_ns(tail) if tail else 0)
+        span = _InflightSpan(sim.now, chunk_ns, span_ns, remaining, chunk,
+                             nfull, sim.event())
         self._inflight[direction] = span
-        watcher = res.watch_contention()
-        done_ev = sim.timeout(span_ns)
+        contended = self._contended[direction]
+        res.watch_contention_fn(contended)
+        _ = sim.schedule_call(span_ns, _end_span, span)
         serialized = 0
         try:
-            _ = yield sim.any_of([done_ev, watcher])
-            if done_ev.triggered:
+            # no local holds the wake event, so the kernel can recycle it
+            yield span.wake
+            if span.ended:
                 serialized = remaining
             else:
                 # Contention: the chunk in flight completes at the next
@@ -305,7 +341,7 @@ class PcieLink:
                 if residual:
                     yield sim.timeout(residual)
         finally:
-            res.unwatch_contention(watcher)
+            res.unwatch_contention_fn(contended)
             self._settle(direction)
             span_now = self._inflight[direction]
             if span_now is span:
@@ -317,6 +353,17 @@ class PcieLink:
                 self._inflight[direction] = None
             res.release()
         return serialized
+
+    def _contention_hop(self, direction: str) -> Callable[[], None]:
+        """*direction*'s contention callback: wake the span holder one
+        zero-delay hop later, where a contention event's dispatch would
+        have succeeded a first-of Condition."""
+        sim = self.sim
+        inflight = self._inflight
+
+        def contended() -> None:
+            _ = sim.schedule_call(0, _wake_holder, inflight[direction])
+        return contended
 
     def _settle(self, direction: str) -> None:
         """Move an in-flight span's crossed-by-now bytes into the counter."""

@@ -9,7 +9,7 @@
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Deque, Optional, Tuple
+from typing import Any, Callable, Deque, Optional, Tuple
 
 from ..errors import SimulationError
 from .core import Event, Simulator, _scheduled_event
@@ -132,11 +132,9 @@ class Resource:
         self.name = name
         self._in_use = 0
         self._waiters: Deque[Event] = deque()
-        #: single registered contention watcher (see :meth:`watch_contention`)
-        self._contention: Optional[Event] = None
         #: single registered contention callback (see
-        #: :meth:`watch_contention_fn`) — the event-free sibling
-        self._contention_fn = None
+        #: :meth:`watch_contention_fn`)
+        self._contention_fn: Optional[Callable[[], None]] = None
 
     @property
     def in_use(self) -> int:
@@ -166,10 +164,6 @@ class Resource:
             return _scheduled_event(sim, None)
         ev = sim.event()
         self._waiters.append(ev)
-        watcher = self._contention
-        if watcher is not None:
-            self._contention = None
-            watcher.succeed()
         fn = self._contention_fn
         if fn is not None:
             self._contention_fn = None
@@ -220,43 +214,23 @@ class Resource:
         else:
             self._in_use -= 1
 
-    def watch_contention(self) -> Event:
-        """Event firing when the next acquire has to queue behind a holder.
-
-        Used by *elastic* holders (e.g. :meth:`repro.pcie.link.PcieLink.
-        serialize`) that batch their occupancy while uncontended and must
-        fall back to fine-grained interleaving the moment a competitor
-        arrives.  At most one watcher is active at a time — registering a
-        new one replaces the old (which then never fires); callers must
-        :meth:`unwatch_contention` when they stop caring.  If waiters are
-        already queued the returned event is triggered immediately.
-        """
-        ev = Event(self.sim)
-        if self._waiters:
-            ev.succeed()
-        else:
-            self._contention = ev
-        return ev
-
-    def unwatch_contention(self, ev: Event) -> None:
-        """Deregister *ev* if it is still the active contention watcher."""
-        if self._contention is ev:
-            self._contention = None
-
-    def watch_contention_fn(self, fn) -> None:
+    def watch_contention_fn(self, fn: Callable[[], None]) -> None:
         """Register *fn* to run once when the next acquire queues.
 
-        The allocation-free sibling of :meth:`watch_contention` for hot
-        callers (the MAC frame-train): no event, no callback list — the
-        resource invokes *fn* synchronously at the contention instant,
-        exactly where the watcher event would have been succeeded.  Same
-        single-slot discipline: registering replaces any previous fn;
-        clear with :meth:`unwatch_contention_fn`.  The caller must check
-        for already-queued waiters itself before registering.
+        Used by *elastic* holders that batch their occupancy while
+        uncontended and must fall back to fine-grained interleaving the
+        moment a competitor arrives (the PCIe elastic span, the MAC frame
+        train).  No event, no callback list: the resource invokes *fn*
+        synchronously inside that :meth:`acquire`, after queueing the
+        waiter; *fn* schedules whatever wake-up its caller needs.  At
+        most one callback is registered at a time: registering replaces
+        any previous fn, and firing or :meth:`unwatch_contention_fn`
+        clears it.  The caller must check for already-queued waiters
+        itself before registering.
         """
         self._contention_fn = fn
 
-    def unwatch_contention_fn(self, fn) -> None:
+    def unwatch_contention_fn(self, fn: Callable[[], None]) -> None:
         """Deregister *fn* if it is still the active contention callback."""
         if self._contention_fn is fn:
             self._contention_fn = None

@@ -253,9 +253,7 @@ class SpdkNvmeDriver:
             while True:
                 progressed = False
                 while True:
-                    raw = host.read(self._host_offset(self.cq.next_addr()),
-                                    CQE_BYTES)
-                    cqe = self.cq.try_accept(bytes(raw))
+                    cqe = self.cq.poll(host, self.host_mem_base)
                     if cqe is None:
                         break
                     progressed = True

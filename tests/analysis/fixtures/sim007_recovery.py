@@ -9,10 +9,25 @@ class Driver:
 
 
 class GuardedDriver:
-    # near miss: this class also defines a watchdog sweeper, so its retry
-    # wait is assumed to be swept on timeout (the SPDK driver pattern)
+    # near miss: this class also runs a watchdog sweeper from its poll
+    # loop, so its retry wait is swept on timeout (the SPDK driver pattern)
     def _retry_submit(self):
         yield self._cq_room
 
+    def _poll(self):
+        while True:
+            self._scan_timeouts()
+            yield sim.timeout(400)
+
     def _scan_timeouts(self):
-        yield sim.timeout(10)
+        pass
+
+
+class DormantWatchdogDriver:
+    # the watchdog is defined but nothing calls or starts it, so it
+    # sweeps nothing and does not exempt the retry wait
+    def _retry_submit(self):
+        yield self._sq_room  # HAZARD SIM007
+
+    def _scan_timeouts(self):
+        pass

@@ -122,6 +122,9 @@ class TestSim007RecoveryWait:
             "drv.py": "class Driver:\n"
                       "    def _retry_io(self):\n"
                       "        yield self._sq_space\n"
+                      "    def _poll_loop(self):\n"
+                      "        self._scan_timeouts()\n"
+                      "        yield self.sim.timeout(400)\n"
                       "    def _scan_timeouts(self):\n"
                       "        pass\n",
         })
@@ -130,10 +133,36 @@ class TestSim007RecoveryWait:
     def test_module_level_watchdog_exempts_all_classes(self):
         findings = analyze_sources({
             "drv.py": "def watchdog(sim):\n"
-                      "    pass\n"
+                      "    yield sim.timeout(10)\n"
                       "class Driver:\n"
                       "    def _retry_io(self):\n"
-                      "        yield self._sq_space\n",
+                      "        yield self._sq_space\n"
+                      "    def start(self):\n"
+                      "        _ = self.sim.process(watchdog(self.sim))\n",
+        })
+        assert findings == []
+
+    def test_uncalled_watchdog_does_not_exempt(self):
+        """A watchdog that is defined but never run sweeps nothing (the
+        SPDK poll loop without its ``_scan_timeouts()`` call)."""
+        findings = analyze_sources({
+            "drv.py": "class Driver:\n"
+                      "    def _retry_io(self):\n"
+                      "        yield self._sq_space\n"
+                      "    def _scan_timeouts(self):\n"
+                      "        pass\n",
+        })
+        assert rule_ids(findings) == ["SIM007"]
+
+    def test_watchdog_handed_to_the_kernel_exempts(self):
+        findings = analyze_sources({
+            "drv.py": "class Driver:\n"
+                      "    def _retry_io(self):\n"
+                      "        yield self._sq_space\n"
+                      "    def arm(self):\n"
+                      "        self.sim.schedule_call(100, self._expire)\n"
+                      "    def _expire(self, _arg):\n"
+                      "        pass\n",
         })
         assert findings == []
 

@@ -123,6 +123,32 @@ class TestSpdkRecovery:
             sim.run_process(body())
         assert system.fault_stats.retry_exhausted == 1
 
+    def test_cqe_delay_past_timeout_is_recovered_or_aborted(self, sim):
+        """Delays beyond the command timeout wake the poll loop's scan."""
+        cfg = FaultConfig(nvme_cqe_delay_rate=1.0, nvme_cqe_delay_ns=500_000,
+                          command_timeout_ns=100_000, retry_limit=1)
+        system = build_host_system(
+            sim, HostSystemConfig(functional=False, faults=cfg))
+        drv = system.spdk_driver()
+        sim.run_process(drv.initialize())
+        buf = drv.alloc_buffer(4 * KiB)
+        submitted = sim.now
+
+        def body():
+            from repro.nvme import IoOpcode
+            yield from drv.io_and_wait(IoOpcode.READ, 0, 4 * KiB, buf)
+
+        with pytest.raises(RetryExhaustedError,
+                           match="timed out after 1 retries"):
+            sim.run_process(body())
+        stats = system.fault_stats
+        assert stats.timeouts == 2
+        assert stats.retries == 1
+        assert stats.retry_exhausted == 1
+        # both attempts lived out their whole deadline, plus the backoff
+        assert sim.now - submitted >= (2 * cfg.command_timeout_ns
+                                       + cfg.backoff_ns(1))
+
 
 class TestPcieReplay:
     def test_replay_budget_exceeded_raises(self, sim):

@@ -127,3 +127,14 @@ class TestSparseMemory:
             sparse.write(addr, data)
             dense[addr:addr + n] = data
         assert np.array_equal(sparse.read(0, 1 << 16), dense)
+
+
+@pytest.mark.parametrize("cls", (Memory, SparseMemory))
+def test_read_byte_matches_read(cls, rng):
+    m = cls(1 << 16)
+    data = rng.integers(0, 256, 5000, dtype=np.uint8)
+    m.write(3000, data)
+    for addr in (0, 2999, 3000, 4095, 4096, 7999, 8000, (1 << 16) - 1):
+        assert m.read_byte(addr) == int(m.read(addr, 1)[0])
+    with pytest.raises(MemoryError_):
+        m.read_byte(1 << 16)

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ConfigError, NamespaceError, QueueFullError
+from repro.mem import HostDram
 from repro.nvme import (CompletionEntry, CompletionRing, Namespace,
                         SubmissionRing, doorbell_offset)
 from repro.units import MiB
@@ -84,6 +85,32 @@ class TestCompletionRing:
         assert cq.expected_phase == 0  # wrapped
         assert cq.try_accept(CompletionEntry(cid=3, phase=1).pack()) is None
         assert cq.try_accept(CompletionEntry(cid=3, phase=0).pack()) is not None
+
+    def test_poll_decodes_only_a_posted_entry(self, sim, monkeypatch):
+        """``poll`` peeks the phase bit; a stale slot costs no 16-byte read."""
+        base = 0x10_0000
+        mem = HostDram(sim, 1 << 20)
+        cq = CompletionRing(base + 0x2000, 2)
+        mem.write(0x2000, CompletionEntry(cid=7, status=0x281,
+                                          phase=0).pack())
+        reads = []
+        read = mem.read
+
+        def counting_read(addr, nbytes):
+            reads.append((addr, nbytes))
+            return read(addr, nbytes)
+
+        monkeypatch.setattr(mem, "read", counting_read)
+        assert cq.poll(mem, base) is None
+        assert reads == [] and cq.head == 0
+        for cid, slot in ((7, 0), (8, 1)):
+            mem.write(0x2000 + 16 * slot, CompletionEntry(
+                cid=cid, status=0x281, sq_head=5, phase=1).pack())
+            got = cq.poll(mem, base)
+            assert (got.cid, got.status, got.sq_head) == (cid, 0x281, 5)
+        assert reads == [(0x2000, 16), (0x2010, 16)]
+        assert cq.head == 0 and cq.expected_phase == 0  # wrapped
+        assert cq.poll(mem, base) is None  # slot 0 still holds phase 1
 
 
 class TestNamespace:

@@ -202,14 +202,19 @@ class TestResourceGrantSemantics:
 
         def holder():
             yield res.acquire()
-            watcher = res.watch_contention()
+            wake = sim.event()
+            hits = []
+
+            def contended():
+                hits.append(sim.now)
+                wake.succeed()
+
+            res.watch_contention_fn(contended)
             try:
-                result = yield sim.any_of([watcher, sim.timeout(100)])
-                _ = result
-                log.append(("contended" if watcher.triggered else "timed-out",
-                            sim.now))
+                _ = yield sim.any_of([wake, sim.timeout(100)])
+                log.append(("contended" if hits else "timed-out", sim.now))
             finally:
-                res.unwatch_contention(watcher)
+                res.unwatch_contention_fn(contended)
                 res.release()
 
         def competitor():
@@ -222,8 +227,11 @@ class TestResourceGrantSemantics:
         _ = sim.process(competitor())
         sim.run()
         assert log == [("contended", 30), ("acquired", 30)]
+        assert res._contention_fn is None
 
-    def test_watch_contention_with_queued_waiters_fires_immediately(self, sim):
+    def test_queued_waiters_are_the_callers_check(self, sim):
+        """Registering never fires the callback, even with waiters queued:
+        the holder checks ``queued`` first (``PcieLink.serialize``)."""
         res = Resource(sim, capacity=1)
 
         def holder():
@@ -238,8 +246,13 @@ class TestResourceGrantSemantics:
         _ = sim.process(holder())
         _ = sim.process(competitor())
         sim.run(until=10)
-        watcher = res.watch_contention()
-        assert watcher.triggered
+        hits = []
+        res.watch_contention_fn(lambda: hits.append(sim.now))
+        assert res.queued == 1
+        assert hits == []
+        _ = sim.process(competitor())  # the next queueing acquire fires it
+        sim.run()
+        assert hits == [10]
 
 
 class TestTimeoutDelayTypes:
