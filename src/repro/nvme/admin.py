@@ -29,6 +29,9 @@ __all__ = ["AdminQueueClient"]
 
 #: host poll granularity while waiting for admin completions
 ADMIN_POLL_NS = 1000
+#: how long :meth:`AdminQueueClient.submit` polls for a CQE before it
+#: gives up (modelled admin commands complete within tens of µs)
+ADMIN_TIMEOUT_NS = 10_000_000
 
 
 class AdminQueueClient:
@@ -73,7 +76,8 @@ class AdminQueueClient:
     def submit(self, sqe: SubmissionEntry):
         """Generator: submit an admin command and wait for its completion.
 
-        Returns the :class:`CompletionEntry`.
+        Returns the :class:`CompletionEntry`; raises :class:`NVMeError`
+        when none lands within :data:`ADMIN_TIMEOUT_NS`.
         """
         if not self._initialized:
             raise NVMeError("initialize() the admin client first")
@@ -84,10 +88,15 @@ class AdminQueueClient:
             self.bar_base + doorbell_offset(0, is_cq=False),
             data=self.asq.tail.to_bytes(4, "little"))
         # Poll the ACQ until the phase bit flips on the head entry.
+        deadline = self.sim.now + ADMIN_TIMEOUT_NS
         while True:
             cqe = self.acq.poll(host, self.host_mem_base)
             if cqe is not None:
                 break
+            if self.sim.now >= deadline:
+                raise NVMeError(
+                    f"admin command opcode {sqe.opcode:#04x} cid {sqe.cid}: "
+                    f"no completion within {ADMIN_TIMEOUT_NS} ns")
             yield self.sim.timeout(ADMIN_POLL_NS)
         self.asq.note_head(cqe.sq_head)
         yield from self.fabric.host_mmio_write(

@@ -26,7 +26,7 @@ correct side of the sampling point.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Generator, Optional, Tuple
+from typing import Callable, Dict, Generator, Optional
 
 from ..errors import ConfigError, PCIeError
 from ..sim.core import Event, Simulator
@@ -155,10 +155,9 @@ class PcieLink:
     def attach_faults(self, plan, stats) -> None:
         """Inject seeded TLP loss/corruption answered by replay.
 
-        A no-op unless a PCIe rate is non-zero.  When armed,
-        :meth:`plan_single_chunk` returns None so *every* transfer —
-        including the root complex's inlined DMA fast paths — funnels
-        through :meth:`serialize`, where the replay loop lives.
+        A no-op unless a PCIe rate is non-zero.  When armed, every chunk
+        :meth:`serialize` moves goes through the replay loop, and no span
+        is served elastically.
         """
         cfg = plan.config
         if cfg.pcie_tlp_loss_rate <= 0 and cfg.pcie_tlp_corrupt_rate <= 0:
@@ -176,29 +175,21 @@ class PcieLink:
 
         *payload_bytes* is packetized via the link's TLP parameters;
         *raw_wire_bytes* is for non-data TLPs (requests, interrupts) charged
-        as-is.  Chunked so other flows interleave; an uncontended remainder
-        is served elastically in a single timeout (see module docstring).
+        as-is.  Chunked so other flows interleave: each chunk acquires the
+        direction, waits its wire time, releases it and credits its wire
+        bytes.  An uncontended remainder is served elastically in a single
+        timeout (see module docstring).  Every transfer on the fabric, one
+        chunk or many, crosses the link here.
         """
-        if direction not in self._dirs:
+        res = self._dirs.get(direction)
+        if res is None:
             raise ValueError(f"direction must be 'up' or 'down', got {direction!r}")
-        plan = self.plan_single_chunk(payload_bytes, raw_wire_bytes)
-        res = self._dirs[direction]
-        if plan is not None:
-            # Single-chunk transfer (the overwhelmingly common case for
-            # request headers, CQEs, and 4 KiB pages): no loop bookkeeping.
-            ns, total_wire = plan
-            if not res.acquire_inline():
-                yield res.acquire()
-            try:
-                yield self.sim.timeout(ns)
-            finally:
-                res.release()
-            self.wire_bytes[direction] += total_wire
-            return
-        wire = self._wire_cache[payload_bytes]  # cached by plan_single_chunk
-        total_wire = wire + raw_wire_bytes
+        wire = self._wire_cache.get(payload_bytes)
+        if wire is None:
+            wire = self.params.tlp.wire_bytes(payload_bytes)
+            self._wire_cache[payload_bytes] = wire
         chunk = self.params.chunk_bytes
-        remaining = total_wire
+        remaining = wire + raw_wire_bytes
         while remaining > 0:
             if not res.acquire_inline():
                 yield res.acquire()
@@ -207,7 +198,8 @@ class PcieLink:
                 remaining -= yield from self._elastic_span(
                     res, direction, remaining)
             else:
-                take = min(remaining, chunk)
+                # not min(): the call is measurable once per DMA chunk
+                take = remaining if remaining < chunk else chunk
                 ns = self._wire_ns(take)
                 try:
                     if self._fault_cfg is not None:
@@ -251,37 +243,6 @@ class PcieLink:
                 yield self.sim.timeout(cfg.pcie_replay_timeout_ns)
             else:
                 stats.pcie_tlp_corrupted += 1
-
-    def plan_single_chunk(
-            self, payload_bytes: int,
-            raw_wire_bytes: int = 0) -> Optional[Tuple[int, int]]:
-        """``(timeout_ns, wire_bytes)`` for a transfer that fits one chunk,
-        or ``None`` when it must go through the chunked loop.
-
-        Lets the hottest callers (the fabric DMA paths) inline the
-        acquire / timeout / release / credit sequence of :meth:`serialize`
-        without paying an extra generator frame on every event resume.
-        An inlined caller must replay the sequence exactly: acquire the
-        direction resource, wait *timeout_ns*, release, then add
-        *wire_bytes* to ``wire_bytes[direction]`` — same events, same
-        order, so the schedule is identical to :meth:`serialize`.
-        """
-        wire = self._wire_cache.get(payload_bytes)
-        if wire is None:
-            wire = self.params.tlp.wire_bytes(payload_bytes)
-            self._wire_cache[payload_bytes] = wire
-        total_wire = wire + raw_wire_bytes
-        if total_wire > self.params.chunk_bytes:
-            return None
-        if self._fault_cfg is not None:
-            # with faults armed every transfer needs the replay loop in
-            # serialize(); inlined callers fall back on a None plan
-            return None
-        ns = self._ns_cache.get(total_wire)
-        if ns is None:
-            ns = ns_for_bytes(total_wire, self.params.raw_gbps)
-            self._ns_cache[total_wire] = ns
-        return ns, total_wire
 
     def _wire_ns(self, nbytes: int) -> int:
         """Memoized ``ns_for_bytes(nbytes, raw_gbps)``."""

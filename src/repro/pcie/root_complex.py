@@ -21,7 +21,7 @@ from typing import Dict, Optional
 
 from ..errors import PCIeError
 from ..mem.address_map import AddressMap
-from ..mem.base import BytesLike, as_bytes_array
+from ..mem.base import BytesLike
 from ..mem.hostmem import HostDram
 from ..sim.core import Simulator
 from ..sim.resources import Resource
@@ -55,6 +55,28 @@ class BarHandler:
         yield  # pragma: no cover
 
 
+def _write_size(op: str, data: Optional[BytesLike],
+                nbytes: Optional[int]) -> int:
+    """Bytes a write moves: ``len(data)``, or *nbytes* without data.
+
+    Given both, they must agree, and the size must be positive.  Every
+    ``BytesLike`` supports ``len()``; conversion to an array is left to
+    whichever consumer stores the bytes, so timing-only writes never pay
+    for it.
+    """
+    if data is None:
+        if nbytes is None:
+            raise PCIeError(f"{op} needs data or nbytes")
+        size = nbytes
+    else:
+        size = len(data)
+        if nbytes is not None and nbytes != size:
+            raise PCIeError(f"{op} of {size} data bytes with nbytes={nbytes}")
+    if size <= 0:
+        raise PCIeError(f"{op} of {size} bytes")
+    return size
+
+
 @dataclass(frozen=True)
 class _HostMemTarget:
     mem: HostDram
@@ -76,8 +98,6 @@ class PcieEndpoint:
         self.link = link
         #: limits concurrently outstanding non-posted (read) transactions
         self.read_tags = Resource(fabric.sim, max_read_tags, name=f"{name}.tags")
-        #: memoized ``tlp.read_requests(nbytes)`` (sizes repeat heavily)
-        self._nreq_cache: Dict[int, int] = {}
 
     # -- DMA issued by this device -------------------------------------------
     def dma_read(self, addr: int, nbytes: int, functional: bool = True):
@@ -147,33 +167,14 @@ class PcieFabric:
             raise PCIeError(f"dma_read of {nbytes} bytes")
         self.iommu.check(requester.name, addr, nbytes)
         target, offset = self._decode(addr, nbytes)
-        nreq = requester._nreq_cache.get(nbytes)
-        if nreq is None:
-            nreq = requester.link.params.tlp.read_requests(nbytes)
-            requester._nreq_cache[nbytes] = nreq
         rlink = requester.link
+        nreq = rlink.params.tlp.read_requests(nbytes)
         if not requester.read_tags.acquire_inline():
             yield requester.read_tags.acquire()
         try:
-            # Request phase: small TLPs up the requester link, through the
-            # RC.  Single-chunk transfers inline the serialize sequence
-            # (acquire/timeout/release/credit — see PcieLink.plan_single_chunk)
-            # so every resume in this hot path walks one less frame.
-            plan = rlink.plan_single_chunk(
-                0, raw_wire_bytes=nreq * MEMRD_REQUEST_BYTES)
-            if plan is None:  # pragma: no cover - requests never exceed a chunk
-                yield from rlink.serialize(
-                    "up", 0, raw_wire_bytes=nreq * MEMRD_REQUEST_BYTES)
-            else:
-                ns, wire = plan
-                res = rlink._dirs["up"]
-                if not res.acquire_inline():
-                    yield res.acquire()
-                try:
-                    yield self.sim.timeout(ns)
-                finally:
-                    res.release()
-                rlink.wire_bytes["up"] += wire
+            # Request phase: small TLPs up the requester link, through the RC.
+            yield from rlink.serialize(
+                "up", 0, raw_wire_bytes=nreq * MEMRD_REQUEST_BYTES)
 
             if isinstance(target, _HostMemTarget):
                 yield self.sim.timeout(
@@ -193,19 +194,7 @@ class PcieFabric:
                 data = yield from target.handler.bar_read(
                     offset, nbytes, functional=functional)
                 # Completion data climbs the peer link, crosses the RC.
-                plan = peer.link.plan_single_chunk(nbytes)
-                if plan is None:
-                    yield from peer.link.serialize("up", nbytes)
-                else:
-                    ns, wire = plan
-                    res = peer.link._dirs["up"]
-                    if not res.acquire_inline():
-                        yield res.acquire()
-                    try:
-                        yield self.sim.timeout(ns)
-                    finally:
-                        res.release()
-                    peer.link.wire_bytes["up"] += wire
+                yield from peer.link.serialize("up", nbytes)
                 yield self.sim.timeout(
                     peer.link.params.propagation_ns + self.rc_forward_ns)
                 self.traffic.record(peer.name, nbytes)
@@ -213,19 +202,7 @@ class PcieFabric:
                 raise PCIeError(f"unroutable target {target!r}")
 
             # Completion data descends the requester link.
-            plan = rlink.plan_single_chunk(nbytes)
-            if plan is None:
-                yield from rlink.serialize("down", nbytes)
-            else:
-                ns, wire = plan
-                res = rlink._dirs["down"]
-                if not res.acquire_inline():
-                    yield res.acquire()
-                try:
-                    yield self.sim.timeout(ns)
-                finally:
-                    res.release()
-                rlink.wire_bytes["down"] += wire
+            yield from rlink.serialize("down", nbytes)
             yield self.sim.timeout(rlink.params.propagation_ns)
             self.traffic.record(requester.name, nbytes)
             return data
@@ -234,34 +211,13 @@ class PcieFabric:
 
     def _dma_write(self, requester: PcieEndpoint, addr: int,
                    data: Optional[BytesLike], nbytes: Optional[int]):
-        if data is None and nbytes is None:
-            raise PCIeError("dma_write needs data or nbytes")
-        if data is not None:
-            # BytesLike all support len(); conversion to an array is left to
-            # whichever consumer actually stores the bytes (hot timing-only
-            # writes never pay for it).
-            nbytes = len(data)
-        if nbytes <= 0:
-            raise PCIeError(f"dma_write of {nbytes} bytes")
+        nbytes = _write_size("dma_write", data, nbytes)
         self.iommu.check(requester.name, addr, nbytes)
         target, offset = self._decode(addr, nbytes)
         rlink = requester.link
 
         # Posted: data climbs the requester link, crosses the RC...
-        # (single-chunk serialize inlined, as in _dma_read above)
-        plan = rlink.plan_single_chunk(nbytes)
-        if plan is None:
-            yield from rlink.serialize("up", nbytes)
-        else:
-            ns, wire = plan
-            res = rlink._dirs["up"]
-            if not res.acquire_inline():
-                yield res.acquire()
-            try:
-                yield self.sim.timeout(ns)
-            finally:
-                res.release()
-            rlink.wire_bytes["up"] += wire
+        yield from rlink.serialize("up", nbytes)
         yield self.sim.timeout(
             rlink.params.propagation_ns + self.rc_forward_ns)
         self.traffic.record(requester.name, nbytes)
@@ -275,19 +231,7 @@ class PcieFabric:
         elif isinstance(target, _BarTarget):
             peer = target.endpoint
             # ...and descends the peer link (P2P).
-            plan = peer.link.plan_single_chunk(nbytes)
-            if plan is None:
-                yield from peer.link.serialize("down", nbytes)
-            else:
-                ns, wire = plan
-                res = peer.link._dirs["down"]
-                if not res.acquire_inline():
-                    yield res.acquire()
-                try:
-                    yield self.sim.timeout(ns)
-                finally:
-                    res.release()
-                peer.link.wire_bytes["down"] += wire
+            yield from peer.link.serialize("down", nbytes)
             yield self.sim.timeout(peer.link.params.propagation_ns)
             yield from target.handler.bar_write(offset, data=data, nbytes=nbytes)
             self.traffic.record(peer.name, nbytes)
@@ -298,9 +242,7 @@ class PcieFabric:
     def host_mmio_write(self, addr: int, data: Optional[BytesLike] = None,
                         nbytes: Optional[int] = None):
         """Generator: CPU programmed-IO write (doorbells, config registers)."""
-        if data is None and nbytes is None:
-            raise PCIeError("mmio write needs data or nbytes")
-        n = nbytes if nbytes is not None else len(as_bytes_array(data))
+        n = _write_size("mmio write", data, nbytes)
         target, offset = self._decode(addr, n)
         if not isinstance(target, _BarTarget):
             raise PCIeError(f"MMIO write to non-BAR address {addr:#x}")
@@ -312,6 +254,8 @@ class PcieFabric:
 
     def host_mmio_read(self, addr: int, nbytes: int, functional: bool = True):
         """Generator: CPU programmed-IO read; returns the data."""
+        if nbytes <= 0:
+            raise PCIeError(f"mmio read of {nbytes} bytes")
         target, offset = self._decode(addr, nbytes)
         if not isinstance(target, _BarTarget):
             raise PCIeError(f"MMIO read of non-BAR address {addr:#x}")

@@ -4,6 +4,7 @@ import pytest
 
 from repro.errors import NVMeError
 from repro.nvme import AdminOpcode, SubmissionEntry, StatusCode
+from repro.nvme.admin import ADMIN_TIMEOUT_NS
 from repro.systems import HostSystemConfig, build_host_system
 
 
@@ -106,3 +107,24 @@ class TestQueueLifecycle:
             return (yield from client.submit(sqe))
 
         assert sim.run_process(body()).ok
+
+
+class TestAdminDeadline:
+    def test_lost_admin_cqe_fails_at_the_deadline(self, sim, monkeypatch):
+        """A controller that never posts an admin CQE fails initialize()
+        once the poll deadline passes, instead of polling forever."""
+        system = build_host_system(sim, HostSystemConfig())
+        controller = system.ssd.controller
+        post_cqe = controller._post_cqe
+
+        def drop_admin_cqe(sq, cid, status, result):
+            if sq.qid != 0:
+                yield from post_cqe(sq, cid, status, result)
+
+        monkeypatch.setattr(controller, "_post_cqe", drop_admin_cqe)
+        driver = system.spdk_driver()
+        with pytest.raises(NVMeError, match="opcode 0x06 cid 1:"):
+            sim.run_process(driver.initialize())
+        assert controller.stats.admin_completed == 1
+        # the 10 µs ready transition and the doorbell precede the polls
+        assert ADMIN_TIMEOUT_NS < sim.now < ADMIN_TIMEOUT_NS + 20_000

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.errors import IommuFault, PCIeError
+from repro.errors import AddressError, IommuFault, PCIeError
 from repro.mem import HostDram, SramMemory
 from repro.pcie import BarHandler, Iommu, LinkParams, PcieFabric
 from repro.units import KiB, MiB
@@ -72,14 +72,33 @@ class TestHostMemoryDma:
         def body():
             yield from ssd.dma_read(0xDEAD_0000, 64)
 
-        with pytest.raises(Exception):
+        with pytest.raises(AddressError):
             sim.run_process(body())
 
     def test_zero_length_rejected(self, sim, fabric, ssd):
+        for nbytes in (0, -4):
+            with pytest.raises(PCIeError):
+                next(ssd.dma_read(HOST_BASE, nbytes))
+            with pytest.raises(PCIeError):
+                next(ssd.dma_write(HOST_BASE, nbytes=nbytes))
         with pytest.raises(PCIeError):
-            next(ssd.dma_read(HOST_BASE, 0))
-        with pytest.raises(PCIeError):
-            next(ssd.dma_write(HOST_BASE, nbytes=0))
+            next(ssd.dma_write(HOST_BASE, data=b""))
+        with pytest.raises(PCIeError, match="needs data or nbytes"):
+            next(ssd.dma_write(HOST_BASE))
+        assert sim.now == 0 and ssd.link.total_wire_bytes == 0
+
+    def test_mismatched_write_size_rejected(self, sim, fabric, ssd):
+        with pytest.raises(PCIeError, match="nbytes=8"):
+            next(ssd.dma_write(HOST_BASE, data=b"abcd", nbytes=8))
+        assert fabric.traffic.snapshot() == {}
+
+    def test_matching_write_size_accepted(self, sim, fabric, ssd):
+        def body():
+            yield from ssd.dma_write(HOST_BASE, data=b"abcd", nbytes=4)
+
+        sim.run_process(body())
+        assert bytes(fabric.host_memory.read(0, 4)) == b"abcd"
+        assert fabric.traffic.snapshot() == {"ssd": 4, "host": 4}
 
 
 class TestP2P:
@@ -130,6 +149,12 @@ class TestP2P:
         assert fabric.traffic.bytes_on("fpga") == 4096
         assert fabric.traffic.bytes_on("host") == 0
 
+    def test_mismatched_write_size_rejected(self, sim, fabric, fpga, ssd):
+        with pytest.raises(PCIeError, match="nbytes=8"):
+            next(ssd.dma_write(FPGA_BAR, data=b"abcd", nbytes=8))
+        assert fabric.traffic.snapshot() == {}
+        assert fpga.test_sram.stats.writes == 0
+
     def test_host_dma_traffic_counts_once(self, sim, fabric, ssd):
         def body():
             yield from ssd.dma_write(HOST_BASE, nbytes=4096)
@@ -147,6 +172,7 @@ class TestMmio:
 
         sim.run_process(body())
         assert bytes(fpga.test_sram.read(64, 4)) == b"\xaa\xbb\xcc\xdd"
+        assert fabric.traffic.snapshot() == {"fpga": 4}
 
     def test_mmio_read_returns_data(self, sim, fabric, fpga):
         fpga.test_sram.write(128, b"\x01\x02\x03\x04")
@@ -157,6 +183,23 @@ class TestMmio:
 
         got = sim.run_process(body())
         assert bytes(got) == b"\x01\x02\x03\x04"
+
+    @pytest.mark.parametrize("nbytes", [0, -4])
+    def test_mmio_read_of_no_bytes_rejected(self, sim, fabric, fpga, nbytes):
+        with pytest.raises(PCIeError, match="mmio read"):
+            next(fabric.host_mmio_read(FPGA_BAR, nbytes))
+        assert sim.now == 0 and fpga.link.total_wire_bytes == 0
+
+    @pytest.mark.parametrize("kwargs", [{"nbytes": 0}, {"nbytes": -4},
+                                        {"data": b""}, {}])
+    def test_mmio_write_of_no_bytes_rejected(self, sim, fabric, fpga, kwargs):
+        with pytest.raises(PCIeError, match="mmio write"):
+            next(fabric.host_mmio_write(FPGA_BAR, **kwargs))
+        assert sim.now == 0 and fpga.link.total_wire_bytes == 0
+
+    def test_mmio_write_size_mismatch_rejected(self, sim, fabric, fpga):
+        with pytest.raises(PCIeError, match="nbytes=8"):
+            next(fabric.host_mmio_write(FPGA_BAR, data=b"abcd", nbytes=8))
 
     def test_mmio_to_host_memory_rejected(self, sim, fabric, fpga):
         def body():
