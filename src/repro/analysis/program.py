@@ -14,17 +14,16 @@ worker processes (``--jobs``):
     extracts a :class:`ModuleSummary` from one parsed
     :class:`~repro.analysis.engine.Module`.  A summary is a plain,
     picklable record of everything the whole-program rules need to know
-    about the file — resolved imports, the function table, every event
-    mint / wait / setter / escape site, module-level mutable state,
-    IO-read sites, and unit-tagged call shapes.  Summaries depend only on
-    the file's own text.
+    about the file — resolved imports, every event mint / wait / setter /
+    escape site, module-level mutable state, and IO-read sites.
+    Summaries depend only on the file's own text.
 
 :class:`Program`
-    combines the summaries of every analyzed file into the project-wide
-    symbol table, the import graph (absolute *and* relative imports
-    resolved against derived dotted module names), and the event-flow /
-    call-graph queries the SIM006-SIM010 rules run on.  Building it from
-    summaries is O(project) string work — no re-parsing.
+    combines the summaries of every analyzed file into the import graph
+    (absolute *and* relative imports resolved against derived dotted
+    module names) and the event-flow sets the SIM006, SIM008 and SIM009
+    rules query.  Building it from summaries is O(project) string work —
+    no re-parsing.
 
 Event-flow model
 ----------------
@@ -54,13 +53,10 @@ from .engine import Module
 
 __all__ = [
     "EVENT_SETTERS",
-    "FunctionInfo",
-    "TaggedCall",
     "ModuleSummary",
     "Program",
     "summarize",
     "module_name_for",
-    "unit_tag",
 ]
 
 #: methods that trigger an event — the setter side of the event-flow graph.
@@ -81,33 +77,6 @@ _MUTABLE_FACTORIES = frozenset({
 
 #: top-level directories that name modules when no ``src/`` root applies.
 _ROOT_DIRS = frozenset({"tests", "examples", "scripts"})
-
-#: name suffix → unit tag (SIM010).  Exact-name tags cover the handful of
-#: untagged-but-unambiguous spellings used throughout the tree.
-_TAG_SUFFIXES = (("_ns", "ns"), ("_bytes", "bytes"), ("_cycles", "cycles"))
-_TAG_EXACT = {"nbytes": "bytes"}
-
-#: intrinsic positional-parameter tags for kernel/units entry points the
-#: symbol table cannot see (the factory protocol) or sees too often to
-#: resolve by name alone.
-INTRINSIC_PARAM_TAGS: Dict[str, Tuple[Optional[str], ...]] = {
-    "ns_for_bytes": ("bytes", None),
-    "ns_ceil": ("ns",),
-    "gbps_for": ("bytes", "ns"),
-}
-
-
-def unit_tag(name: Optional[str]) -> Optional[str]:
-    """The ns/bytes/cycles tag carried by *name*, if any."""
-    if not name:
-        return None
-    exact = _TAG_EXACT.get(name)
-    if exact is not None:
-        return exact
-    for suffix, tag in _TAG_SUFFIXES:
-        if name.endswith(suffix):
-            return tag
-    return None
 
 
 def module_name_for(path: str) -> str:
@@ -138,33 +107,6 @@ def module_name_for(path: str) -> str:
 
 # ---------------------------------------------------------------- summaries
 @dataclasses.dataclass
-class FunctionInfo:
-    """One function/method: signature plus the waits its body performs."""
-
-    name: str
-    qualname: str
-    class_name: Optional[str]
-    params: List[str]
-    is_generator: bool
-    lineno: int
-    #: bare event waits: ``yield name`` / ``yield obj.attr`` — (key, line, col)
-    bare_waits: List[Tuple[str, int, int]]
-
-
-@dataclasses.dataclass
-class TaggedCall:
-    """A call site carrying at least one unit-tagged argument (SIM010)."""
-
-    callee_kind: str                       # 'name' | 'attr'
-    callee: str                            # bare callable name
-    factory: Optional[str]                 # sim factory name, if any
-    arg_tags: List[Optional[str]]          # positional argument tags
-    kwarg_tags: List[Tuple[str, Optional[str]]]
-    line: int
-    col: int
-
-
-@dataclasses.dataclass
 class ModuleSummary:
     """Everything the whole-program rules need to know about one file.
 
@@ -174,7 +116,6 @@ class ModuleSummary:
     path: str
     module: str
     imports: List[str]
-    functions: List[FunctionInfo]
     attr_mints: List[Tuple[str, int]]          # (key, line)
     attr_waits: List[Tuple[str, int, int]]     # (key, line, col)
     attr_settable: List[str]                   # keys with setter or escape
@@ -182,9 +123,7 @@ class ModuleSummary:
     mutable_globals: List[Tuple[str, int]]     # module-level mutable bindings
     mutated_globals: List[str]                 # names mutated from functions
     io_reads: List[Tuple[str, int, int]]       # (description, line, col)
-    run_names: List[str]                       # callees and callback args
     job_root: bool
-    tagged_calls: List[TaggedCall]
     line_suppress: Dict[int, Optional[List[str]]]
     file_suppress: Optional[List[str]]
     suppression_comments: int
@@ -379,37 +318,6 @@ def _collect_event_facts(
     return attr_mints, attr_waits, attr_settable, sorted(deadlocks)
 
 
-def _collect_functions(module: Module) -> List[FunctionInfo]:
-    infos: List[FunctionInfo] = []
-    for node in ast.walk(module.tree):
-        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            continue
-        scope = module.scope_of(node)
-        class_name = scope.name if isinstance(scope, ast.ClassDef) else None
-        params = [a.arg for a in (node.args.posonlyargs + node.args.args
-                                  + node.args.kwonlyargs)]
-        is_gen = (isinstance(node, ast.FunctionDef)
-                  and Module._is_generator(node))
-        bare_waits: List[Tuple[str, int, int]] = []
-        if is_gen:
-            for sub in Module._walk_same_function(node):
-                if not isinstance(sub, ast.Yield):
-                    continue
-                value = sub.value
-                if isinstance(value, ast.Name):
-                    bare_waits.append((value.id, value.lineno,
-                                       value.col_offset + 1))
-                elif isinstance(value, ast.Attribute):
-                    bare_waits.append((value.attr, value.lineno,
-                                       value.col_offset + 1))
-        qualname = f"{class_name}.{node.name}" if class_name else node.name
-        infos.append(FunctionInfo(
-            name=node.name, qualname=qualname, class_name=class_name,
-            params=params, is_generator=is_gen, lineno=node.lineno,
-            bare_waits=bare_waits))
-    return infos
-
-
 def _function_local_names(fn: ast.AST) -> Set[str]:
     """Names bound inside *fn* itself: params, assignments, loop targets."""
     names: Set[str] = set()
@@ -550,70 +458,6 @@ def _collect_io_reads(module: Module) -> List[Tuple[str, int, int]]:
     return reads
 
 
-def _enclosing_class(module: Module, node: ast.AST) -> Optional[str]:
-    scope: Optional[ast.AST] = module.scope_of(node)
-    while scope is not None and not isinstance(scope, ast.ClassDef):
-        scope = module.scope_parent_of(scope)
-    return scope.name if scope is not None else None
-
-
-def _collect_run_names(module: Module) -> List[str]:
-    """The functions this module runs: the callee of every call (``f()``,
-    ``self.f()``, hence also ``sim.process(self.f())``) and every name
-    passed to a call as a callback (``sim.schedule_call(0, self.f)``).
-
-    A ``self.f`` inside class ``C`` is recorded as ``"C.f"``; any other
-    reference only by its bare name.
-    """
-    names: Set[str] = set()
-    for node in ast.walk(module.tree):
-        if not isinstance(node, ast.Call):
-            continue
-        for ref in [node.func, *node.args,
-                    *(kw.value for kw in node.keywords)]:
-            if isinstance(ref, ast.Name):
-                names.add(ref.id)
-            elif isinstance(ref, ast.Attribute):
-                owner = (_enclosing_class(module, node)
-                         if isinstance(ref.value, ast.Name)
-                         and ref.value.id == "self" else None)
-                names.add(f"{owner}.{ref.attr}" if owner else ref.attr)
-    return sorted(names)
-
-
-def _arg_tag(node: ast.AST) -> Optional[str]:
-    if isinstance(node, ast.Name):
-        return unit_tag(node.id)
-    if isinstance(node, ast.Attribute):
-        return unit_tag(node.attr)
-    return None
-
-
-def _collect_tagged_calls(module: Module) -> List[TaggedCall]:
-    calls: List[TaggedCall] = []
-    for node in ast.walk(module.tree):
-        if not isinstance(node, ast.Call):
-            continue
-        func = node.func
-        if isinstance(func, ast.Name):
-            kind, callee = "name", func.id
-        elif isinstance(func, ast.Attribute):
-            kind, callee = "attr", func.attr
-        else:
-            continue
-        arg_tags = [_arg_tag(a) for a in node.args]
-        kwarg_tags = [(kw.arg, _arg_tag(kw.value))
-                      for kw in node.keywords if kw.arg]
-        if not any(arg_tags) and not any(tag for _n, tag in kwarg_tags):
-            continue
-        calls.append(TaggedCall(
-            callee_kind=kind, callee=callee,
-            factory=module.factory_of(node), arg_tags=arg_tags,
-            kwarg_tags=kwarg_tags, line=node.lineno,
-            col=node.col_offset + 1))
-    return calls
-
-
 def _is_job_root(module: Module, module_name: str) -> bool:
     if module_name.endswith("bench.jobs"):
         return True
@@ -640,7 +484,6 @@ def summarize(module: Module, module_name: Optional[str] = None) -> ModuleSummar
         path=module.path,
         module=name,
         imports=_resolve_imports(module, name),
-        functions=_collect_functions(module),
         attr_mints=sorted(set(attr_mints)),
         attr_waits=sorted(set(attr_waits)),
         attr_settable=sorted(attr_settable),
@@ -648,9 +491,7 @@ def summarize(module: Module, module_name: Optional[str] = None) -> ModuleSummar
         mutable_globals=mutable_globals,
         mutated_globals=mutated_globals,
         io_reads=_collect_io_reads(module),
-        run_names=_collect_run_names(module),
         job_root=_is_job_root(module, name),
-        tagged_calls=_collect_tagged_calls(module),
         line_suppress={line: (None if ids is None else sorted(ids))
                        for line, ids in module.line_suppressions.items()},
         file_suppress=(None if module.file_suppressions is None
@@ -661,7 +502,7 @@ def summarize(module: Module, module_name: Optional[str] = None) -> ModuleSummar
 
 # ------------------------------------------------------------------ program
 class Program:
-    """The project-wide view: symbol table, import graph, event-flow sets.
+    """The project-wide view: import graph and event-flow sets.
 
     Built purely from :class:`ModuleSummary` records — cheap enough to
     rebuild on every run; the expensive part is the per-file extraction.
@@ -691,10 +532,6 @@ class Program:
         for summary in self.summaries:
             self.minted_attr_keys.update(key for key, _line in summary.attr_mints)
             self.settable_attr_keys.update(summary.attr_settable)
-        self._functions_by_name: Dict[str, List[FunctionInfo]] = {}
-        for summary in self.summaries:
-            for info in summary.functions:
-                self._functions_by_name.setdefault(info.name, []).append(info)
 
     # ------------------------------------------------------------- queries
     def reachable_from(self, roots: Sequence[str]) -> Set[str]:
@@ -712,10 +549,6 @@ class Program:
     def job_roots(self) -> List[str]:
         """Modules that define spawn-safe bench jobs (POINT_FUNCTIONS)."""
         return [s.module for s in self.summaries if s.job_root]
-
-    def functions_named(self, name: str) -> List[FunctionInfo]:
-        """Every function/method in the program with bare name *name*."""
-        return self._functions_by_name.get(name, [])
 
     def mint_sites(self, key: str) -> List[Tuple[str, int]]:
         """(path, line) of every mint of attribute-key *key*."""

@@ -12,8 +12,7 @@ of flaky CI runs teaches the same lesson slowly.
 
 A *fork point* is a direct ``os.fork()`` call (itself a finding outside
 the snapshot engine — everything else should go through the engine,
-which quiesces the simulator and refuses multi-threaded forks), a
-:func:`repro.sim.snapshot.fork_scenarios` call, or a
+which quiesces the simulator and refuses multi-threaded forks) or a
 :class:`repro.sim.snapshot.ScenarioEngine` construction (the engine
 forks later, inside ``run``, from the same process state).
 
@@ -41,7 +40,7 @@ __all__ = ["ForkSafety", "FORK_CALL_ALLOWED_FILES"]
 #: files allowed to call ``os.fork`` directly: only the snapshot engine,
 #: which quiesces the simulator, drains the freelists, and refuses to
 #: fork while other threads are alive.  Everything else should branch
-#: via ``ScenarioEngine`` / ``fork_scenarios``.
+#: via ``ScenarioEngine``.
 FORK_CALL_ALLOWED_FILES = (
     "repro/sim/snapshot.py",
 )
@@ -104,8 +103,8 @@ class ForkSafety(Rule):
                 yield self.finding(
                     module, call,
                     "direct os.fork() outside the snapshot engine; use "
-                    "repro.sim.snapshot.ScenarioEngine / fork_scenarios, "
-                    "which quiesce the simulator and guard the fork point")
+                    "repro.sim.snapshot.ScenarioEngine, which quiesces "
+                    "the simulator and guards the fork point")
             scope = module.scope_of(call)
             scopes.setdefault(id(scope), (scope, []))[1].append(call)
         for scope, fork_calls in scopes.values():
@@ -120,10 +119,7 @@ class ForkSafety(Rule):
             return None
         if path == "os.fork":
             return "os.fork"
-        tail = path.rsplit(".", 1)[-1]
-        if tail == "fork_scenarios":
-            return "fork_scenarios"
-        if tail == "ScenarioEngine":
+        if path.rsplit(".", 1)[-1] == "ScenarioEngine":
             return "ScenarioEngine"
         return None
 

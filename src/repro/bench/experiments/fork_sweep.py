@@ -139,9 +139,9 @@ def fork_sweep_point(n_branches: int, warm_bytes: int, branch_bytes: int,
     """
     setup, warm, branches = storm_scenario(warm_bytes, branch_bytes,
                                            n_branches)
-    engine = ScenarioEngine(setup, warm, mechanism=mechanism)
+    engine = ScenarioEngine(setup, warm)
     rows: List[ExperimentRow] = []
-    for payload in engine.run(branches):
+    for payload in engine.run(branches, mechanism=mechanism):
         label = f"x{payload['scale']:g}"
         faults = payload["faults"] or {}
         rows.append(ExperimentRow("storm_gbps", label,

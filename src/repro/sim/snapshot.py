@@ -58,10 +58,9 @@ from typing import Any, Callable, List, Optional, Sequence, Tuple
 from ..errors import SnapshotError
 from .core import Simulator
 
-__all__ = ["Checkpoint", "ScenarioEngine", "fork_scenarios",
-           "fork_available", "MECHANISMS"]
+__all__ = ["Checkpoint", "ScenarioEngine", "fork_available", "MECHANISMS"]
 
-#: accepted values for the engine's ``mechanism`` argument
+#: accepted values for :meth:`ScenarioEngine.run`'s ``mechanism``
 MECHANISMS = ("auto", "fork", "replay", "cold")
 
 
@@ -141,8 +140,6 @@ class ScenarioEngine:
     sim_of / fault_plan_of:
         Accessors for worlds that don't follow the ``.sim`` /
         ``.fault_plan`` attribute convention.
-    mechanism:
-        One of :data:`MECHANISMS`; ``run()`` can override per call.
 
     Branch functions receive the quiesced world, advance it however they
     like, and return a JSON-serializable payload.  Under ``fork`` each
@@ -155,16 +152,11 @@ class ScenarioEngine:
     def __init__(self, setup: Callable[[], Any],
                  warm: Optional[Callable[[Any], Any]] = None, *,
                  sim_of: Optional[Callable[[Any], Simulator]] = None,
-                 fault_plan_of: Optional[Callable[[Any], Any]] = None,
-                 mechanism: str = "auto") -> None:
-        if mechanism not in MECHANISMS:
-            raise SnapshotError(
-                f"mechanism must be one of {MECHANISMS}, got {mechanism!r}")
+                 fault_plan_of: Optional[Callable[[Any], Any]] = None) -> None:
         self._setup = setup
         self._warm = warm
         self._sim_of = sim_of or _default_sim_of
         self._fault_plan_of = fault_plan_of or _default_fault_plan_of
-        self.mechanism = mechanism
         #: pristine quiesced world, ready to fork from / hand to a branch
         self._world: Optional[Any] = None
         #: reference checkpoint from the first prefix build
@@ -230,18 +222,18 @@ class ScenarioEngine:
 
     # -- branching ----------------------------------------------------------
     def run(self, branches: Sequence[Callable[[Any], Any]],
-            mechanism: Optional[str] = None) -> List[Any]:
+            mechanism: str = "auto") -> List[Any]:
         """Run every branch from the shared checkpoint; list of payloads.
 
-        Branches execute sequentially in declaration order under every
-        mechanism (the win is prefix sharing, which is independent of
-        host parallelism — the bench host has one core).
+        *mechanism* is one of :data:`MECHANISMS`.  Branches execute
+        sequentially in declaration order under every mechanism (the win
+        is prefix sharing, which is independent of host parallelism —
+        the bench host has one core).
         """
-        mech = mechanism if mechanism is not None else self.mechanism
-        if mech not in MECHANISMS:
+        if mechanism not in MECHANISMS:
             raise SnapshotError(
-                f"mechanism must be one of {MECHANISMS}, got {mech!r}")
-        resolved = self._resolve(mech)
+                f"mechanism must be one of {MECHANISMS}, got {mechanism!r}")
+        resolved = self._resolve(mechanism)
         self.mechanism_used = resolved
         branch_list = list(branches)
         if resolved == "fork":
@@ -296,20 +288,3 @@ class ScenarioEngine:
                 f"forked branch {index} exited cleanly but sent no "
                 f"payload")
         return json.loads(data.decode("utf-8"))
-
-
-def fork_scenarios(setup: Callable[[], Any],
-                   branches: Sequence[Callable[[Any], Any]],
-                   warm: Optional[Callable[[Any], Any]] = None, *,
-                   sim_of: Optional[Callable[[Any], Simulator]] = None,
-                   fault_plan_of: Optional[Callable[[Any], Any]] = None,
-                   mechanism: str = "auto") -> List[Any]:
-    """One-shot convenience: build the prefix once, run all *branches*.
-
-    Equivalent to ``ScenarioEngine(setup, warm, ...).run(branches)``;
-    use the class directly to fork repeatedly from one checkpoint or to
-    inspect ``checkpoint`` / ``mechanism_used``.
-    """
-    engine = ScenarioEngine(setup, warm, sim_of=sim_of,
-                            fault_plan_of=fault_plan_of, mechanism=mechanism)
-    return engine.run(branches)

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from ..errors import NVMeError, RetryExhaustedError
+from ..errors import ConfigError, NVMeError, RetryExhaustedError
 from ..mem.hostmem import ChunkedBuffer, PinnedAllocator
 from ..nvme.admin import AdminQueueClient
 from ..nvme.command import SubmissionEntry
@@ -56,6 +56,25 @@ class SpdkConfig:
     #: unaffected (SPDK's QD-64 random-read bandwidth stays channel-bound).
     #: See EXPERIMENTS.md "Fig 4c".
     read_latency_stat_overhead_ns: int = 24_500
+
+    def __post_init__(self) -> None:
+        if self.poll_interval_ns < 1:
+            # an idle poll re-arms a zero-delay timeout: the clock never
+            # advances, so not even a run's `until` can end it
+            raise ConfigError(
+                f"poll_interval_ns must be >= 1, got {self.poll_interval_ns}")
+        if self.io_queue_entries < 2:
+            # a ring holds size-1 commands
+            raise ConfigError(
+                f"io_queue_entries must be >= 2, got {self.io_queue_entries}")
+        if self.cq_doorbell_batch < 1:
+            raise ConfigError(
+                f"cq_doorbell_batch must be >= 1, got {self.cq_doorbell_batch}")
+        for name in ("submit_cpu_ns", "complete_cpu_ns",
+                     "read_latency_stat_overhead_ns"):
+            value = getattr(self, name)
+            if value < 0:
+                raise ConfigError(f"{name} must be >= 0, got {value}")
 
 
 @dataclass

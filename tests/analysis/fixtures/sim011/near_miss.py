@@ -7,14 +7,14 @@ the rule must stay quiet on all of them.
 import threading
 from concurrent.futures import ThreadPoolExecutor
 
-from repro.sim.snapshot import ScenarioEngine, fork_scenarios
+from repro.sim.snapshot import ScenarioEngine
 
 
 def thread_joined_before_fork(setup, branches):
     worker = threading.Thread(target=print)
     worker.start()
     worker.join()
-    return fork_scenarios(setup, branches)
+    return ScenarioEngine(setup).run(branches)
 
 
 def with_block_closed_before_fork(setup, warm, branches, jobs):
@@ -27,18 +27,18 @@ def with_block_closed_before_fork(setup, warm, branches, jobs):
 def executor_shut_down_before_fork(setup, branches):
     pool = ThreadPoolExecutor(max_workers=2)
     pool.shutdown(wait=True)
-    return fork_scenarios(setup, branches)
+    return ScenarioEngine(setup).run(branches)
 
 
 def open_closed_before_fork(setup, branches, path):
     log = open(path, "a")
     log.write("branching\n")
     log.close()
-    return fork_scenarios(setup, branches)
+    return ScenarioEngine(setup).run(branches)
 
 
 def resource_after_fork_is_fine(setup, branches, path):
-    results = fork_scenarios(setup, branches)
+    results = ScenarioEngine(setup).run(branches)
     with open(path, "a") as log:
         log.write(str(len(results)))
     return results

@@ -4,7 +4,7 @@ import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
 
-from repro.sim.snapshot import ScenarioEngine, fork_scenarios
+from repro.sim.snapshot import ScenarioEngine
 
 
 def adhoc_fork():
@@ -16,7 +16,7 @@ def adhoc_fork():
 def thread_live_at_fork(setup, branches):
     worker = threading.Thread(target=print)  # HAZARD SIM011
     worker.start()
-    return fork_scenarios(setup, branches)
+    return ScenarioEngine(setup).run(branches)
 
 
 def pool_live_in_with(setup, warm, branches):
@@ -28,4 +28,4 @@ def pool_live_in_with(setup, warm, branches):
 def open_handle_spans_fork(setup, branches, path):
     log = open(path, "a")  # HAZARD SIM011
     log.write("branching\n")
-    return fork_scenarios(setup, branches)
+    return ScenarioEngine(setup).run(branches)

@@ -70,11 +70,11 @@ class TestLiveResources:
     def test_unbound_pool_can_never_be_cleaned(self):
         findings = check("""
             from concurrent.futures import ProcessPoolExecutor
-            from repro.sim.snapshot import fork_scenarios
+            from repro.sim.snapshot import ScenarioEngine
 
             def sweep(setup, branches, jobs):
                 ProcessPoolExecutor(max_workers=2).map(len, jobs)
-                return fork_scenarios(setup, branches)
+                return ScenarioEngine(setup).run(branches)
         """)
         assert [f.rule_id for f in findings] == ["SIM011"]
         assert "(unbound)" in findings[0].message
@@ -111,25 +111,25 @@ class TestLiveResources:
         # in another — the analysis is per enclosing scope
         findings = check("""
             import threading
-            from repro.sim.snapshot import fork_scenarios
+            from repro.sim.snapshot import ScenarioEngine
 
             def spin():
                 t = threading.Thread(target=print)
                 t.start()
 
             def sweep(setup, branches):
-                return fork_scenarios(setup, branches)
+                return ScenarioEngine(setup).run(branches)
         """)
         assert findings == []
 
     def test_inline_suppression_honoured(self):
         findings = check("""
             import threading
-            from repro.sim.snapshot import fork_scenarios
+            from repro.sim.snapshot import ScenarioEngine
 
             def sweep(setup, branches):
                 t = threading.Thread(target=print)  # snacclint: disable=SIM011
                 t.start()
-                return fork_scenarios(setup, branches)
+                return ScenarioEngine(setup).run(branches)
         """)
         assert findings == []

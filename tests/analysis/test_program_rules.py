@@ -1,4 +1,4 @@
-"""Unit tests for the whole-program rules (SIM006–SIM010).
+"""Unit tests for the whole-program rules (SIM006, SIM008, SIM009).
 
 Each rule gets at least one true positive and one near miss, built as
 in-memory multi-file projects through :func:`analyze_sources` so the
@@ -106,92 +106,6 @@ class TestSim006Deadlock:
                     "        yield self._queue\n",
         })
         assert "SIM006" not in rule_ids(findings)
-
-
-class TestSim007RecoveryWait:
-    def test_bare_wait_in_retry_generator(self):
-        findings = analyze_sources({
-            "drv.py": "class Driver:\n"
-                      "    def _retry_io(self):\n"
-                      "        yield self._sq_space\n",
-        })
-        assert rule_ids(findings) == ["SIM007"]
-
-    def test_watchdog_in_same_class_exempts(self):
-        findings = analyze_sources({
-            "drv.py": "class Driver:\n"
-                      "    def _retry_io(self):\n"
-                      "        yield self._sq_space\n"
-                      "    def _poll_loop(self):\n"
-                      "        self._scan_timeouts()\n"
-                      "        yield self.sim.timeout(400)\n"
-                      "    def _scan_timeouts(self):\n"
-                      "        pass\n",
-        })
-        assert findings == []
-
-    def test_module_level_watchdog_exempts_all_classes(self):
-        findings = analyze_sources({
-            "drv.py": "def watchdog(sim):\n"
-                      "    yield sim.timeout(10)\n"
-                      "class Driver:\n"
-                      "    def _retry_io(self):\n"
-                      "        yield self._sq_space\n"
-                      "    def start(self):\n"
-                      "        _ = self.sim.process(watchdog(self.sim))\n",
-        })
-        assert findings == []
-
-    def test_uncalled_watchdog_does_not_exempt(self):
-        """A watchdog that is defined but never run sweeps nothing (the
-        SPDK poll loop without its ``_scan_timeouts()`` call)."""
-        findings = analyze_sources({
-            "drv.py": "class Driver:\n"
-                      "    def _retry_io(self):\n"
-                      "        yield self._sq_space\n"
-                      "    def _scan_timeouts(self):\n"
-                      "        pass\n",
-        })
-        assert rule_ids(findings) == ["SIM007"]
-
-    def test_watchdog_handed_to_the_kernel_exempts(self):
-        findings = analyze_sources({
-            "drv.py": "class Driver:\n"
-                      "    def _retry_io(self):\n"
-                      "        yield self._sq_space\n"
-                      "    def arm(self):\n"
-                      "        self.sim.schedule_call(100, self._expire)\n"
-                      "    def _expire(self, _arg):\n"
-                      "        pass\n",
-        })
-        assert findings == []
-
-    def test_watchdog_in_other_class_does_not_exempt(self):
-        findings = analyze_sources({
-            "drv.py": "class A:\n"
-                      "    def _retry_io(self):\n"
-                      "        yield self._sq_space\n"
-                      "class B:\n"
-                      "    def _scan_timeouts(self):\n"
-                      "        pass\n",
-        })
-        assert rule_ids(findings) == ["SIM007"]
-
-    def test_timeout_wait_in_retry_generator_is_clean(self):
-        findings = analyze_sources({
-            "drv.py": "class Driver:\n"
-                      "    def _retry_io(self, sim):\n"
-                      "        yield sim.timeout(100)\n",
-        })
-        assert findings == []
-
-    def test_non_recovery_name_is_clean(self):
-        findings = analyze_sources({
-            "drv.py": "class Driver:\n"
-                      "    def consume(self):\n"
-                      "        yield self._sq_space\n",
-        })
-        assert "SIM007" not in rule_ids(findings)
 
 
 class TestSim008SpawnSafety:
@@ -354,76 +268,6 @@ class TestSim009FingerprintGap:
                                     "'REPRO_BENCH_CACHE')\n",
         })
         assert findings == []
-
-
-class TestSim010UnitConfusion:
-    def test_bytes_into_timeout(self):
-        findings = analyze_sources({
-            "a.py": "def go(sim, chunk_bytes):\n"
-                    "    yield sim.timeout(chunk_bytes)\n",
-        })
-        assert rule_ids(findings) == ["SIM010"]
-
-    def test_ns_into_timeout_is_clean(self):
-        findings = analyze_sources({
-            "a.py": "def go(sim, wait_ns):\n"
-                    "    yield sim.timeout(wait_ns)\n",
-        })
-        assert findings == []
-
-    def test_cross_module_positional_mismatch(self):
-        findings = analyze_sources({
-            "sink.py": "def issue(delay_ns):\n    pass\n",
-            "use.py": "from sink import issue\n"
-                      "def go(nbytes):\n"
-                      "    issue(nbytes)\n",
-        })
-        assert rule_ids(findings) == ["SIM010"]
-        assert findings[0].path == "use.py"
-
-    def test_keyword_mismatch_needs_no_resolution(self):
-        findings = analyze_sources({
-            "a.py": "def go(report, total_cycles):\n"
-                    "    report(elapsed_ns=total_cycles)\n",
-        })
-        assert rule_ids(findings) == ["SIM010"]
-
-    def test_matching_keyword_is_clean(self):
-        findings = analyze_sources({
-            "a.py": "def go(report, total_ns):\n"
-                    "    report(elapsed_ns=total_ns)\n",
-        })
-        assert findings == []
-
-    def test_ambiguous_symbol_stays_quiet(self):
-        # two defs of `issue` disagree on the parameter's unit — no call
-        # can be checked against either
-        findings = analyze_sources({
-            "s1.py": "def issue(delay_ns):\n    pass\n",
-            "s2.py": "def issue(nbytes):\n    pass\n",
-            "use.py": "from s1 import issue\n"
-                      "def go(chunk_bytes):\n"
-                      "    issue(chunk_bytes)\n",
-        })
-        assert findings == []
-
-    def test_units_helper_intrinsics(self):
-        findings = analyze_sources({
-            "a.py": "from repro.units import ns_for_bytes\n"
-                    "def go(elapsed_ns):\n"
-                    "    return ns_for_bytes(elapsed_ns, 1)\n",
-        })
-        assert rule_ids(findings) == ["SIM010"]
-
-    def test_method_self_is_dropped(self):
-        findings = analyze_sources({
-            "a.py": "class Link:\n"
-                    "    def push(self, payload_bytes):\n"
-                    "        pass\n",
-            "b.py": "def go(link, span_ns):\n"
-                    "    link.push(span_ns)\n",
-        })
-        assert rule_ids(findings) == ["SIM010"]
 
 
 class TestSeededTreeWideGate:

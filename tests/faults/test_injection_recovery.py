@@ -12,6 +12,12 @@ from repro.sim.stats import FaultStats
 from repro.systems import HostSystemConfig, build_host_system
 from repro.units import KiB, MiB
 
+#: simulated-time bound for every run below.  A recovery path that stops
+#: making progress while a poller or timer keeps the queue busy would
+#: otherwise spin forever; bounded, it fails with SimulationError.  The
+#: longest run here ends near 9 ms.
+DEADLINE_NS = 100_000_000
+
 
 def snacc_with_faults(faults):
     sim = Simulator()
@@ -38,7 +44,8 @@ class TestStreamerRecovery:
     def test_injected_failures_are_retried_to_success(self):
         sim, system = snacc_with_faults(FaultConfig(nvme_cmd_fail_rate=0.05))
         perf = SnaccPerf(sim, system.user)
-        res = sim.run_process(perf.rand_read(1 * MiB))
+        res = sim.run_process(perf.rand_read(1 * MiB),
+                              until=sim.now + DEADLINE_NS)
         stats = system.host.fault_stats
         assert res.total_bytes == 1 * MiB
         assert stats.nvme_failures_injected > 0
@@ -53,7 +60,8 @@ class TestStreamerRecovery:
         for _ in range(2):
             sim, system = snacc_with_faults(cfg)
             perf = SnaccPerf(sim, system.user)
-            res = sim.run_process(perf.rand_read(1 * MiB))
+            res = sim.run_process(perf.rand_read(1 * MiB),
+                                  until=sim.now + DEADLINE_NS)
             results.append((res.gbps, system.host.fault_stats.as_dict()))
         assert results[0] == results[1]
 
@@ -67,7 +75,7 @@ class TestStreamerRecovery:
             return got
 
         with pytest.raises(StreamerError, match="0x281"):
-            sim.run_process(body())
+            sim.run_process(body(), until=sim.now + DEADLINE_NS)
         stats = system.host.fault_stats
         assert stats.retry_exhausted == 1
         assert stats.retries == 2
@@ -82,7 +90,7 @@ class TestStreamerRecovery:
             yield from system.user.read(0, 4 * KiB, functional=False)
 
         with pytest.raises(StreamerError):  # COMMAND_ABORTED surfaced
-            sim.run_process(body())
+            sim.run_process(body(), until=sim.now + DEADLINE_NS)
         assert system.host.fault_stats.timeouts >= 2
 
 
@@ -92,7 +100,7 @@ class TestSpdkRecovery:
             sim, HostSystemConfig(functional=False,
                                   faults=FaultConfig(nvme_cmd_fail_rate=0.2)))
         drv = system.spdk_driver()
-        sim.run_process(drv.initialize())
+        sim.run_process(drv.initialize(), until=sim.now + DEADLINE_NS)
         buf = drv.alloc_buffer(64 * KiB)
 
         def body():
@@ -101,7 +109,8 @@ class TestSpdkRecovery:
                 yield from drv.io_and_wait(IoOpcode.READ, i * 16, 64 * KiB,
                                            buf)
 
-        sim.run_process(body())  # no raise: every failure was absorbed
+        # no raise: every failure was absorbed
+        sim.run_process(body(), until=sim.now + DEADLINE_NS)
         assert system.fault_stats.nvme_failures_injected > 0
         assert system.fault_stats.retries > 0
         assert system.fault_stats.retry_exhausted == 0
@@ -112,7 +121,7 @@ class TestSpdkRecovery:
                 functional=False,
                 faults=FaultConfig(nvme_cmd_fail_rate=1.0, retry_limit=2)))
         drv = system.spdk_driver()
-        sim.run_process(drv.initialize())
+        sim.run_process(drv.initialize(), until=sim.now + DEADLINE_NS)
         buf = drv.alloc_buffer(4 * KiB)
 
         def body():
@@ -120,7 +129,7 @@ class TestSpdkRecovery:
             yield from drv.io_and_wait(IoOpcode.READ, 0, 4 * KiB, buf)
 
         with pytest.raises(RetryExhaustedError):
-            sim.run_process(body())
+            sim.run_process(body(), until=sim.now + DEADLINE_NS)
         assert system.fault_stats.retry_exhausted == 1
 
     def test_cqe_delay_past_timeout_is_recovered_or_aborted(self, sim):
@@ -130,7 +139,7 @@ class TestSpdkRecovery:
         system = build_host_system(
             sim, HostSystemConfig(functional=False, faults=cfg))
         drv = system.spdk_driver()
-        sim.run_process(drv.initialize())
+        sim.run_process(drv.initialize(), until=sim.now + DEADLINE_NS)
         buf = drv.alloc_buffer(4 * KiB)
         submitted = sim.now
 
@@ -140,7 +149,7 @@ class TestSpdkRecovery:
 
         with pytest.raises(RetryExhaustedError,
                            match="timed out after 1 retries"):
-            sim.run_process(body())
+            sim.run_process(body(), until=sim.now + DEADLINE_NS)
         stats = system.fault_stats
         assert stats.timeouts == 2
         assert stats.retries == 1
@@ -158,7 +167,7 @@ class TestPcieReplay:
                                   faults=FaultConfig(pcie_tlp_loss_rate=1.0)))
         drv = system.spdk_driver()
         with pytest.raises(PCIeError):
-            sim.run_process(drv.initialize())
+            sim.run_process(drv.initialize(), until=sim.now + DEADLINE_NS)
         assert system.fault_stats.pcie_tlp_dropped > 0
 
     def test_occasional_loss_is_replayed_transparently(self, sim):
@@ -168,7 +177,7 @@ class TestPcieReplay:
                 faults=FaultConfig(pcie_tlp_loss_rate=0.01,
                                    pcie_tlp_corrupt_rate=0.01)))
         drv = system.spdk_driver()
-        sim.run_process(drv.initialize())
+        sim.run_process(drv.initialize(), until=sim.now + DEADLINE_NS)
         buf = drv.alloc_buffer(256 * KiB)
 
         def body():
@@ -177,7 +186,7 @@ class TestPcieReplay:
                 yield from drv.io_and_wait(IoOpcode.READ, i * 64, 256 * KiB,
                                            buf)
 
-        sim.run_process(body())
+        sim.run_process(body(), until=sim.now + DEADLINE_NS)
         assert system.fault_stats.pcie_replays > 0
 
 
@@ -194,7 +203,7 @@ class TestEthernetDrops:
             for _ in range(5):
                 yield from a.send(EthernetFrame(payload_bytes=1024))
 
-        sim.run_process(sender())
+        sim.run_process(sender(), until=sim.now + DEADLINE_NS)
         sim.run()
         assert b.rx_frames == 0
         assert stats.eth_data_dropped == 5

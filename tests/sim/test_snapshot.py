@@ -19,8 +19,7 @@ from repro.errors import SnapshotError
 from repro.sim import core
 from repro.sim.core import Simulator
 from repro.sim.resources import Store
-from repro.sim.snapshot import (Checkpoint, ScenarioEngine, fork_available,
-                                fork_scenarios)
+from repro.sim.snapshot import Checkpoint, ScenarioEngine, fork_available
 
 from .test_calendar import KERNELS
 
@@ -205,13 +204,12 @@ class TestEquivalence:
             sim.run()
             return sim.now
 
-        assert fork_scenarios(setup, [branch], mechanism="replay") == [4]
+        engine = ScenarioEngine(setup)
+        assert engine.run([branch], mechanism="replay") == [4]
 
 
 class TestGuards:
     def test_invalid_mechanism_rejected(self):
-        with pytest.raises(SnapshotError, match="mechanism"):
-            ScenarioEngine(make_world, mechanism="psychic")
         engine = ScenarioEngine(make_world)
         with pytest.raises(SnapshotError, match="mechanism"):
             engine.run(BRANCHES, mechanism="psychic")
