@@ -25,7 +25,7 @@ status=0
 
 echo "== snacclint (python -m repro.analysis) =="
 # Hard gate: per-file rules SIM001, SIM002, SIM004, SIM011 + whole-program
-# rules SIM006, SIM008, SIM009, the per-file pass fanned over 4 workers
+# rules SIM008, SIM009, the per-file pass fanned over 4 workers
 # (DESIGN.md §8.3 times it against a serial run).  Emits the
 # machine-readable findings artifact (snacclint.json) and enforces the
 # suppression-debt ratchet against the checked-in baseline.

@@ -1,16 +1,15 @@
 """Static analysis for the repro simulation codebase (*snacclint*).
 
 The discrete-event kernel's correctness contract — every minted event
-consumed, every process registered, deterministic RNG, no wait without a
-setter, spawn-safe job code, a result cache that fingerprints all its
-inputs, no live threads or open files at a fork point — cannot be
-expressed in Python's type system, and the kernel cannot check it at
-runtime, so this package enforces it mechanically.  (The integer-ns
-clock and the yield-an-Event rule are the kernel's own runtime checks.)
-Per-file rules (SIM001, SIM002, SIM004, SIM011) match one AST at a time;
-whole-program rules (SIM006, SIM008, SIM009) run on a project-wide pass
-built from per-module summaries (:mod:`repro.analysis.program`).  Run it
-as::
+consumed, every process registered, deterministic RNG, spawn-safe job
+code, a result cache that fingerprints all its inputs, no live threads
+or open files at a fork point — cannot be expressed in Python's type
+system, and the kernel cannot check it at runtime, so this package
+enforces it mechanically.  (The integer-ns clock and the yield-an-Event
+rule are the kernel's own runtime checks.)  Per-file rules (SIM001,
+SIM002, SIM004, SIM011) match one AST at a time; whole-program rules
+(SIM008, SIM009) run on an import graph built from per-module summaries
+(:mod:`repro.analysis.program`).  Run it as::
 
     python -m repro.analysis src tests examples scripts \
         [--format json] [--jobs N] [--baseline snacclint_baseline.json]

@@ -35,7 +35,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         prog="python -m repro.analysis",
         description="snacclint: simulation-hazard static analyzer "
                     "(per-file rules SIM001, SIM002, SIM004, SIM011; "
-                    "whole-program rules SIM006, SIM008, SIM009)",
+                    "whole-program rules SIM008, SIM009)",
     )
     parser.add_argument("paths", nargs="*",
                         help="files or directories to analyze")

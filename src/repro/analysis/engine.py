@@ -37,8 +37,8 @@ Whole-program rules
 -------------------
 Rules subclassing :class:`ProgramRule` run once per *analysis*, not once
 per file: they receive a :class:`~repro.analysis.program.Program` built
-from every analyzed module and can chase facts across imports (deadlocks,
-spawn-safety, cache-soundness).  ``analyze_paths`` runs both passes;
+from every analyzed module and can chase facts across imports
+(spawn-safety, cache-soundness).  ``analyze_paths`` runs both passes;
 ``analyze_source`` stays per-file so single-snippet callers see exactly
 the per-file rule set.
 
@@ -149,7 +149,7 @@ class Rule:
 
 
 class ProgramRule(Rule):
-    """Base class for whole-program rules (SIM006+).
+    """Base class for whole-program rules (SIM008, SIM009).
 
     Subclasses implement :meth:`check_program` against the
     :class:`~repro.analysis.program.Program` built from every analyzed
@@ -390,10 +390,6 @@ class Module:
         """The function/class/module scope enclosing *node*."""
         return self._scope.get(id(node), self.tree)
 
-    def scope_parent_of(self, scope: ast.AST) -> Optional[ast.AST]:
-        """The scope enclosing *scope* (None at module level)."""
-        return self._scope_parent.get(id(scope))
-
     def _scope_chain(self, scope: ast.AST) -> Iterator[ast.AST]:
         current: Optional[ast.AST] = scope
         while current is not None:
@@ -605,9 +601,10 @@ def iter_python_files(
 ) -> Iterator[Path]:
     """Yield the ``.py`` files named by *paths* (files kept, dirs walked).
 
-    Directory walks skip :data:`DEFAULT_EXCLUDED_DIRS` components; explicit
-    file arguments are always yielded, which is how the hazard fixtures are
-    analyzed on demand but never by the tree-wide gate.
+    Directory walks skip :data:`DEFAULT_EXCLUDED_DIRS` components below the
+    walked directory (its ancestors never count); explicit file arguments
+    are always yielded, which is how the hazard fixtures are analyzed on
+    demand but never by the tree-wide gate.
     """
     seen: Set[Path] = set()
     for raw in paths:
@@ -618,7 +615,8 @@ def iter_python_files(
                 yield path
         elif path.is_dir():
             for sub in sorted(path.rglob("*.py")):
-                if any(part in excluded_dirs for part in sub.parts):
+                if any(part in excluded_dirs
+                       for part in sub.relative_to(path).parts):
                     continue
                 if sub not in seen:
                     seen.add(sub)

@@ -1,11 +1,10 @@
-"""Whole-program layer: per-module summaries and the cross-module graphs.
+"""Whole-program layer: per-module summaries and the import graph.
 
 The per-file rules (SIM001, SIM002, SIM004, SIM011) see one AST at a
-time; the hazards that actually bite at system scale — a process parked
-on an event whose setter lives in a module nobody imports anymore, bench
-jobs silently sharing a module-level dict across pool workers, job code
-reading inputs the result cache never fingerprints — are only visible to
-a pass that sees the *project*.
+time; the hazards that bite across modules — bench jobs silently sharing
+a module-level dict across pool workers, job code reading inputs the
+result cache never fingerprints — are only visible to a pass that sees
+the *project*.
 
 The design splits that pass in two so the per-file half fans out over
 worker processes (``--jobs``):
@@ -14,32 +13,14 @@ worker processes (``--jobs``):
     extracts a :class:`ModuleSummary` from one parsed
     :class:`~repro.analysis.engine.Module`.  A summary is a plain,
     picklable record of everything the whole-program rules need to know
-    about the file — resolved imports, every event mint / wait / setter /
-    escape site, module-level mutable state, and IO-read sites.
-    Summaries depend only on the file's own text.
+    about the file — resolved imports, module-level mutable state, and
+    IO-read sites.  Summaries depend only on the file's own text.
 
 :class:`Program`
     combines the summaries of every analyzed file into the import graph
     (absolute *and* relative imports resolved against derived dotted
-    module names) and the event-flow sets the SIM006, SIM008 and SIM009
-    rules query.  Building it from summaries is O(project) string work —
-    no re-parsing.
-
-Event-flow model
-----------------
-An event *mint* is an assignment whose value is ``sim.event()`` (any
-receiver the engine recognizes as a Simulator) or a bare ``Event(...)``
-constructor call.  A *wait* is a bare ``yield name`` / ``yield obj.attr``
-of a minted key.  A *setter* is a ``.succeed(...)`` / ``.fail(...)`` /
-``.set(...)`` / ``.trigger(...)`` call on the key.  Every other use —
-passed as an argument, aliased, stored in a container, rebound — is an
-*escape*, after which the analysis assumes the event can be triggered
-somewhere it cannot see.  A wait whose key has neither setter nor escape
-anywhere in the program can never fire: a static deadlock (SIM006).
-Local (function-scope) keys resolve within the minting function and its
-nested scopes; attribute keys resolve program-wide by attribute name,
-which trades a few false negatives (colliding attribute names) for zero
-spurious cross-class matches.
+    module names) that the SIM008 and SIM009 rules query.  Building it
+    from summaries is O(project) string work — no re-parsing.
 """
 
 from __future__ import annotations
@@ -47,20 +28,16 @@ from __future__ import annotations
 import ast
 import dataclasses
 from pathlib import PurePosixPath
-from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from .engine import Module
 
 __all__ = [
-    "EVENT_SETTERS",
     "ModuleSummary",
     "Program",
     "summarize",
     "module_name_for",
 ]
-
-#: methods that trigger an event — the setter side of the event-flow graph.
-EVENT_SETTERS = frozenset({"succeed", "fail", "set", "trigger"})
 
 #: container-mutating method names (SIM008 mutation detection).
 _MUTATOR_METHODS = frozenset({
@@ -116,10 +93,6 @@ class ModuleSummary:
     path: str
     module: str
     imports: List[str]
-    attr_mints: List[Tuple[str, int]]          # (key, line)
-    attr_waits: List[Tuple[str, int, int]]     # (key, line, col)
-    attr_settable: List[str]                   # keys with setter or escape
-    local_deadlocks: List[Tuple[str, int, int]]  # resolved per-file (SIM006)
     mutable_globals: List[Tuple[str, int]]     # module-level mutable bindings
     mutated_globals: List[str]                 # names mutated from functions
     io_reads: List[Tuple[str, int, int]]       # (description, line, col)
@@ -137,40 +110,6 @@ class ModuleSummary:
 
 
 # ------------------------------------------------------------- summarization
-def _parent_map(tree: ast.AST) -> Dict[int, ast.AST]:
-    parents: Dict[int, ast.AST] = {}
-    for node in ast.walk(tree):
-        for child in ast.iter_child_nodes(node):
-            parents[id(child)] = node
-    return parents
-
-
-def _assign_pairs(node: ast.Assign) -> Iterator[Tuple[ast.AST, ast.AST]]:
-    """(target, value) pairs, expanding parallel tuple/list assignments."""
-    for target in node.targets:
-        if (isinstance(target, (ast.Tuple, ast.List))
-                and isinstance(node.value, (ast.Tuple, ast.List))
-                and len(target.elts) == len(node.value.elts)):
-            yield from zip(target.elts, node.value.elts)
-        else:
-            yield target, node.value
-
-
-def _is_setter_use(node: ast.AST, parents: Dict[int, ast.AST]) -> bool:
-    """True when *node* is the receiver of an ``X.succeed(...)``-style call."""
-    parent = parents.get(id(node))
-    if (isinstance(parent, ast.Attribute) and parent.value is node
-            and parent.attr in EVENT_SETTERS):
-        grand = parents.get(id(parent))
-        return isinstance(grand, ast.Call) and grand.func is parent
-    return False
-
-
-def _is_bare_yield(node: ast.AST, parents: Dict[int, ast.AST]) -> bool:
-    parent = parents.get(id(node))
-    return isinstance(parent, ast.Yield) and parent.value is node
-
-
 def _resolve_imports(module: Module, module_name: str) -> List[str]:
     """Dotted import targets, relative imports resolved against *module_name*.
 
@@ -203,119 +142,6 @@ def _resolve_imports(module: Module, module_name: str) -> List[str]:
                 if name.name != "*" and base:
                     targets.add(f"{base}.{name.name}")
     return sorted(targets)
-
-
-def _is_event_mint(module: Module, value: ast.AST) -> bool:
-    """``sim.event()`` (any recognized receiver) or a bare ``Event(...)``."""
-    if not isinstance(value, ast.Call):
-        return False
-    if module.factory_of(value) == "event":
-        return True
-    return isinstance(value.func, ast.Name) and value.func.id == "Event"
-
-
-class _ScopeChains:
-    """Maps every node to the chain of enclosing function scopes."""
-
-    def __init__(self, module: Module):
-        self._module = module
-
-    def chain_ids(self, node: ast.AST) -> FrozenSet[int]:
-        ids: List[int] = []
-        scope = self._module.scope_of(node)
-        while scope is not None:
-            if isinstance(scope, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                  ast.Lambda)):
-                ids.append(id(scope))
-            scope = self._module.scope_parent_of(scope)
-        return frozenset(ids)
-
-
-def _collect_event_facts(
-    module: Module, parents: Dict[int, ast.AST],
-) -> Tuple[List[Tuple[str, int]], List[Tuple[str, int, int]], Set[str],
-           List[Tuple[str, int, int]]]:
-    """Event mints/waits/settables (attr) and resolved local deadlocks."""
-    chains = _ScopeChains(module)
-    mint_target_ids: Set[int] = set()
-    attr_mints: List[Tuple[str, int]] = []
-    attr_waits: List[Tuple[str, int, int]] = []
-    attr_settable: Set[str] = set()
-    # local (Name-keyed) facts: scope-id of the minting function matters.
-    local_mints: List[Tuple[int, str, FrozenSet[int]]] = []  # (line, key, chain)
-    local_waits: List[Tuple[str, int, int, FrozenSet[int]]] = []
-    local_set: List[Tuple[str, FrozenSet[int]]] = []
-    local_escape: List[Tuple[str, FrozenSet[int]]] = []
-
-    for node in ast.walk(module.tree):
-        if isinstance(node, ast.Assign):
-            for target, value in _assign_pairs(node):
-                if not _is_event_mint(module, value):
-                    continue
-                if isinstance(target, ast.Attribute):
-                    mint_target_ids.add(id(target))
-                    attr_mints.append((target.attr, target.lineno))
-                elif isinstance(target, ast.Name):
-                    mint_target_ids.add(id(target))
-                    local_mints.append((target.lineno, target.id,
-                                        chains.chain_ids(target)))
-        elif isinstance(node, ast.AnnAssign):
-            if node.value is not None and _is_event_mint(module, node.value):
-                target = node.target
-                if isinstance(target, ast.Attribute):
-                    mint_target_ids.add(id(target))
-                    attr_mints.append((target.attr, target.lineno))
-                elif isinstance(target, ast.Name):
-                    mint_target_ids.add(id(target))
-                    local_mints.append((target.lineno, target.id,
-                                        chains.chain_ids(target)))
-
-    for node in ast.walk(module.tree):
-        if isinstance(node, ast.Attribute):
-            key = node.attr
-            if isinstance(node.ctx, ast.Load):
-                if _is_setter_use(node, parents):
-                    attr_settable.add(key)
-                elif _is_bare_yield(node, parents):
-                    attr_waits.append((key, node.lineno, node.col_offset + 1))
-                else:
-                    attr_settable.add(key)          # escape: assume settable
-            elif id(node) not in mint_target_ids:
-                attr_settable.add(key)              # rebind/del: escape
-        elif isinstance(node, ast.Name):
-            key = node.id
-            chain = chains.chain_ids(node)
-            if isinstance(node.ctx, ast.Load):
-                if _is_setter_use(node, parents):
-                    local_set.append((key, chain))
-                elif _is_bare_yield(node, parents):
-                    local_waits.append((key, node.lineno,
-                                        node.col_offset + 1, chain))
-                else:
-                    local_escape.append((key, chain))
-            elif id(node) not in mint_target_ids:
-                local_escape.append((key, chain))
-
-    deadlocks: List[Tuple[str, int, int]] = []
-    seen: Set[Tuple[str, int]] = set()
-    for _mint_line, key, mint_chain in local_mints:
-        if not mint_chain:
-            continue  # module-level mint: out of scope for the local rule
-        waits = [(line, col) for (name, line, col, chain) in local_waits
-                 if name == key and mint_chain <= chain]
-        if not waits:
-            continue
-        if any(name == key and mint_chain <= chain
-               for name, chain in local_set):
-            continue
-        if any(name == key and mint_chain <= chain
-               for name, chain in local_escape):
-            continue
-        line, col = min(waits)
-        if (key, line) not in seen:
-            seen.add((key, line))
-            deadlocks.append((key, line, col))
-    return attr_mints, attr_waits, attr_settable, sorted(deadlocks)
 
 
 def _function_local_names(fn: ast.AST) -> Set[str]:
@@ -476,18 +302,11 @@ def _is_job_root(module: Module, module_name: str) -> bool:
 def summarize(module: Module, module_name: Optional[str] = None) -> ModuleSummary:
     """Extract the whole-program facts of one parsed module."""
     name = module_name if module_name is not None else module_name_for(module.path)
-    parents = _parent_map(module.tree)
-    attr_mints, attr_waits, attr_settable, local_deadlocks = (
-        _collect_event_facts(module, parents))
     mutable_globals, mutated_globals = _collect_mutable_globals(module)
     return ModuleSummary(
         path=module.path,
         module=name,
         imports=_resolve_imports(module, name),
-        attr_mints=sorted(set(attr_mints)),
-        attr_waits=sorted(set(attr_waits)),
-        attr_settable=sorted(attr_settable),
-        local_deadlocks=local_deadlocks,
         mutable_globals=mutable_globals,
         mutated_globals=mutated_globals,
         io_reads=_collect_io_reads(module),
@@ -502,7 +321,7 @@ def summarize(module: Module, module_name: Optional[str] = None) -> ModuleSummar
 
 # ------------------------------------------------------------------ program
 class Program:
-    """The project-wide view: import graph and event-flow sets.
+    """The project-wide view: the import graph over every summary.
 
     Built purely from :class:`ModuleSummary` records — cheap enough to
     rebuild on every run; the expensive part is the per-file extraction.
@@ -526,12 +345,6 @@ class Program:
                     if target == other or target.startswith(other + "."):
                         edges.add(other)
             self._edges[summary.module] = edges
-        # event-flow sets (attribute keys are program-global by design)
-        self.minted_attr_keys: Set[str] = set()
-        self.settable_attr_keys: Set[str] = set()
-        for summary in self.summaries:
-            self.minted_attr_keys.update(key for key, _line in summary.attr_mints)
-            self.settable_attr_keys.update(summary.attr_settable)
 
     # ------------------------------------------------------------- queries
     def reachable_from(self, roots: Sequence[str]) -> Set[str]:
@@ -549,8 +362,3 @@ class Program:
     def job_roots(self) -> List[str]:
         """Modules that define spawn-safe bench jobs (POINT_FUNCTIONS)."""
         return [s.module for s in self.summaries if s.job_root]
-
-    def mint_sites(self, key: str) -> List[Tuple[str, int]]:
-        """(path, line) of every mint of attribute-key *key*."""
-        return [(s.path, line) for s in self.summaries
-                for k, line in s.attr_mints if k == key]

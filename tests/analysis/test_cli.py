@@ -23,7 +23,6 @@ RULE_FIXTURES = [
     "sim001_unconsumed.py",
     "sim002_unregistered.py",
     "sim004_nondeterminism.py",
-    "sim006_deadlock.py",
     "sim008_spawn.py",
     "sim009_fingerprint.py",
     "sim011/true_positive.py",
@@ -67,6 +66,22 @@ class TestFixtures:
 
         walked = iter_python_files([str(FIXTURES.parent)])
         assert not any("fixtures" in str(p) for p in walked)
+
+    def test_only_excluded_dirs_below_the_walked_root_are_skipped(
+            self, tmp_path):
+        from repro.analysis import iter_python_files
+
+        # an excluded name above the walked directory does not hide it ...
+        under_build = tmp_path / "build" / "proj"
+        under_build.mkdir(parents=True)
+        (under_build / "mod.py").write_text("x = 1\n")
+        assert list(iter_python_files([str(under_build)])) == [
+            under_build / "mod.py"]
+        # ... while one below it is still skipped
+        proj = tmp_path / "proj"
+        (proj / "build").mkdir(parents=True)
+        (proj / "build" / "x.py").write_text("x = 1\n")
+        assert list(iter_python_files([str(proj)])) == []
 
 
 class TestCli:
@@ -128,10 +143,10 @@ class TestCli:
     def test_list_rules(self):
         proc = run_cli("--list-rules")
         assert proc.returncode == 0
-        for rid in ("SIM001", "SIM002", "SIM004", "SIM006", "SIM008",
-                    "SIM009", "SIM011"):
+        for rid in ("SIM001", "SIM002", "SIM004", "SIM008", "SIM009",
+                    "SIM011"):
             assert rid in proc.stdout
-        for retired in ("SIM003", "SIM005", "SIM007", "SIM010"):
+        for retired in ("SIM003", "SIM005", "SIM006", "SIM007", "SIM010"):
             assert retired not in proc.stdout
 
 

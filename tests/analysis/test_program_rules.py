@@ -1,10 +1,10 @@
-"""Unit tests for the whole-program rules (SIM006, SIM008, SIM009).
+"""Unit tests for the whole-program rules (SIM008, SIM009).
 
 Each rule gets at least one true positive and one near miss, built as
 in-memory multi-file projects through :func:`analyze_sources` so the
 cross-module shape of every case is visible right next to the assertion.
-The final class seeds the known-bad fixtures into a *tree-wide* run to
-prove the gate would catch them buried in the real codebase.
+The final class seeds a known-bad fixture into a *tree-wide* run to
+prove the gate would catch it buried in the real codebase.
 """
 
 from pathlib import Path
@@ -17,95 +17,6 @@ FIXTURES = Path(__file__).parent / "fixtures"
 
 def rule_ids(findings):
     return [f.rule_id for f in findings]
-
-
-class TestSim006Deadlock:
-    def test_local_event_never_triggered(self):
-        findings = analyze_sources({
-            "mod.py": "def proc(sim):\n"
-                      "    ev = sim.event()\n"
-                      "    yield ev\n",
-        })
-        assert rule_ids(findings) == ["SIM006"]
-        assert findings[0].line == 3
-
-    def test_local_event_with_setter_is_clean(self):
-        findings = analyze_sources({
-            "mod.py": "def proc(sim):\n"
-                      "    ev = sim.event()\n"
-                      "    ev.succeed()\n"
-                      "    yield ev\n",
-        })
-        assert findings == []
-
-    def test_local_event_escaping_is_clean(self):
-        findings = analyze_sources({
-            "mod.py": "def proc(sim, out):\n"
-                      "    ev = sim.event()\n"
-                      "    out.append(ev)\n"
-                      "    yield ev\n",
-        })
-        assert findings == []
-
-    def test_setter_in_nested_closure_counts(self):
-        findings = analyze_sources({
-            "mod.py": "def proc(sim):\n"
-                      "    ev = sim.event()\n"
-                      "    def on_done():\n"
-                      "        ev.succeed()\n"
-                      "    register(on_done)\n"
-                      "    yield ev\n",
-        })
-        assert findings == []
-
-    def test_attr_event_with_no_setter_anywhere(self):
-        findings = analyze_sources({
-            "a.py": "class Engine:\n"
-                    "    def __init__(self, sim):\n"
-                    "        self._stall_evt = sim.event()\n"
-                    "    def run(self):\n"
-                    "        yield self._stall_evt\n",
-        })
-        assert rule_ids(findings) == ["SIM006"]
-        assert findings[0].line == 5
-
-    def test_attr_event_with_cross_module_setter_is_clean(self):
-        findings = analyze_sources({
-            "a.py": "class Engine:\n"
-                    "    def __init__(self, sim):\n"
-                    "        self._stall_evt = sim.event()\n"
-                    "    def run(self):\n"
-                    "        yield self._stall_evt\n",
-            "b.py": "def release(engine):\n"
-                    "    engine._stall_evt.succeed()\n",
-        })
-        assert findings == []
-
-    def test_swap_kick_idiom_is_clean(self):
-        # the kernel's broadcast idiom: swap the attr out, trigger the old
-        findings = analyze_sources({
-            "mac.py": "from repro.sim.core import Event\n"
-                      "class Port:\n"
-                      "    def __init__(self, sim):\n"
-                      "        self.sim = sim\n"
-                      "        self._rx_kick = Event(sim)\n"
-                      "    def _deliver(self):\n"
-                      "        kick, self._rx_kick = self._rx_kick, "
-                      "Event(self.sim)\n"
-                      "        kick.succeed()\n"
-                      "    def recv(self):\n"
-                      "        yield self._rx_kick\n",
-        })
-        assert findings == []
-
-    def test_unminted_attr_wait_stays_quiet(self):
-        # we cannot prove `self._queue` is an event — no finding
-        findings = analyze_sources({
-            "a.py": "class C:\n"
-                    "    def run(self):\n"
-                    "        yield self._queue\n",
-        })
-        assert "SIM006" not in rule_ids(findings)
 
 
 class TestSim008SpawnSafety:
@@ -270,6 +181,43 @@ class TestSim009FingerprintGap:
         assert findings == []
 
 
+class TestProgramSuppressions:
+    """Whole-program findings honor the suppression tables each module
+    summary carries, and the full driver counts what they drop."""
+
+    PROJECT = {
+        "jobs.py": "POINT_FUNCTIONS = {}\nimport shared\nimport cfg\n",
+        "shared.py": "CACHE = {}  # snacclint: disable=SIM008\n"
+                     "def put(k, v):\n"
+                     "    CACHE[k] = v\n",
+        "cfg.py": "# snacclint: disable-file=SIM009\n"
+                  "import os\n"
+                  "def depth():\n"
+                  "    return os.environ.get('DEPTH')\n",
+    }
+
+    def test_line_disable_drops_program_finding(self):
+        unsuppressed = {**self.PROJECT, "shared.py": self.PROJECT[
+            "shared.py"].replace("  # snacclint: disable=SIM008", "")}
+        assert rule_ids(analyze_sources(unsuppressed)) == ["SIM008"]
+        assert analyze_sources(self.PROJECT) == []
+
+    def test_file_disable_drops_program_finding(self):
+        unsuppressed = {**self.PROJECT, "cfg.py": self.PROJECT[
+            "cfg.py"].replace("# snacclint: disable-file=SIM009\n", "")}
+        assert rule_ids(analyze_sources(unsuppressed)) == ["SIM009"]
+        assert analyze_sources(self.PROJECT) == []
+
+    def test_analyze_paths_counts_program_suppressions(self, tmp_path):
+        for name, source in self.PROJECT.items():
+            (tmp_path / name).write_text(source)
+        report = analyze_paths([str(tmp_path)])
+        assert report.errors == []
+        assert report.findings == []
+        assert report.suppressed_findings == 2
+        assert report.suppression_comments == 2
+
+
 class TestSeededTreeWideGate:
     """The acceptance-criteria drill: drop a known-bad file into the real
     tree and prove the tree-wide run reports it (and only it)."""
@@ -279,17 +227,6 @@ class TestSeededTreeWideGate:
     def _gated_paths(self):
         return [str(REPO_ROOT / p) for p in self.GATED
                 if (REPO_ROOT / p).exists()]
-
-    def test_seeded_sim006_deadlock_is_caught(self):
-        seeded = self._gated_paths() + [str(FIXTURES / "sim006_deadlock.py")]
-        report = analyze_paths(seeded)
-        assert report.errors == []
-        findings = report.findings
-        sim006 = [f for f in findings if f.rule_id == "SIM006"]
-        assert {f.path for f in sim006} == {str(FIXTURES / "sim006_deadlock.py")}
-        assert len(sim006) == 2
-        # nothing else in the tree regressed while the fixture was seeded
-        assert {f.rule_id for f in findings} == {"SIM006"}
 
     def test_seeded_sim009_fingerprint_gap_is_caught(self):
         seeded = self._gated_paths() + [str(FIXTURES / "sim009_fingerprint.py")]

@@ -11,6 +11,11 @@ from repro.core import StreamerVariant
 from repro.errors import ConfigError
 from repro.sim import Simulator
 
+#: simulated-time bound for the functional runs: ``until_done`` polls on
+#: a timer, so a pipeline that never finishes would spin forever instead
+#: of failing.  The pipeline run ends 6.4 ms after it starts.
+DEADLINE_NS = 100_000_000
+
 
 class TestFunctionalPipeline:
     @pytest.fixture(scope="class")
@@ -28,7 +33,7 @@ class TestFunctionalPipeline:
                    or pipe.db.responses_pending > 0):
                 yield sim.timeout(100_000)
 
-        sim.run_process(until_done())
+        sim.run_process(until_done(), until=sim.now + DEADLINE_NS)
         return sim, config, pipe
 
     def test_all_records_written(self, stored):
@@ -69,7 +74,7 @@ class TestFunctionalPipeline:
             header, body_bytes = yield from reader.read_record(1)
             return header, body_bytes
 
-        header, body = sim.run_process(body())
+        header, body = sim.run_process(body(), until=sim.now + DEADLINE_NS)
         assert header.image_id == 1
         factory = ImageFactory(config.spec, config.n_classes)
         want, _ = factory.make_bytes(1)
